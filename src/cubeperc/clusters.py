@@ -1,8 +1,12 @@
 """Connected-component labeling of bond configurations and the component census.
 
-Labeling is a flat-array union-find (path compression + union by size),
-processed one occupancy plane at a time.  The hot loops are jitted with
-numba when it is importable and degrade to plain Python otherwise.
+Labeling is the hook-and-jump method of Shiloach and Vishkin (J. Algorithms
+3 (1982) 57-67), vectorized over all occupied edges at once.  Each round
+drops the edges whose endpoints already share a root, hooks the larger root
+of every remaining edge onto the smallest root it meets, and then jumps
+pointers until every vertex points at a root.  A parent never exceeds its
+vertex, so each component ends up represented by its smallest vertex, the
+same canonical label whatever order the edges come in.
 """
 
 from __future__ import annotations
@@ -22,58 +26,15 @@ __all__ = [
     "top_two",
 ]
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(func):
-            return func
-
-        return deco
-
-
-@njit(cache=True)
-def _union_edges(parent, size, us, vs):  # pragma: no cover - exercised via label_components
-    for k in range(us.shape[0]):
-        u = us[k]
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        v = vs[k]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            continue
-        if size[u] < size[v]:
-            u, v = v, u
-        parent[v] = u
-        size[u] += size[v]
-
-
-@njit(cache=True)
-def _flatten(parent):  # pragma: no cover - exercised via label_components
-    for i in range(parent.shape[0]):
-        r = i
-        while parent[r] != r:
-            r = parent[r]
-        j = i
-        while parent[j] != r:
-            nxt = parent[j]
-            parent[j] = r
-            j = nxt
-
 
 @dataclass(frozen=True)
 class ClusterLabeling:
     """Component partition of one graph.
 
-    root_of maps every vertex to its fully compressed representative;
-    size_by_root gives the component size at each representative index;
-    sizes_desc is the multiset of component sizes, largest first.
+    root_of maps every vertex to its representative, the smallest vertex of
+    its component; size_by_root gives the component size at each
+    representative index; sizes_desc is the multiset of component sizes,
+    largest first.
     """
 
     dim: CubeDim
@@ -88,18 +49,28 @@ class ClusterLabeling:
 
 
 def label_components(graph: OccupiedGraph) -> ClusterLabeling:
-    """Union-find labeling over the occupied edges of one configuration."""
+    """Hook-and-jump labeling over all occupied edges of one configuration."""
     v_count = graph.dim.volume
-    parent = np.arange(v_count, dtype=np.int32)
-    size = np.ones(v_count, dtype=np.int32)
-    for d in range(graph.dim.n):
-        u, v = graph.edge_endpoints(d)
-        _union_edges(parent, size, u.astype(np.int32), v.astype(np.int32))
-    _flatten(parent)
-    size_by_root = np.bincount(parent, minlength=v_count).astype(np.int64)
+    ends = [graph.edge_endpoints(d) for d in range(graph.dim.n)]
+    u = np.concatenate([e[0] for e in ends])
+    v = np.concatenate([e[1] for e in ends])
+    parent = np.arange(v_count)
+    while u.size:
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        # each edge now joins two roots; drop those already in one tree
+        u, v = parent[u], parent[v]
+        live = u != v
+        u, v = u[live], v[live]
+    root_of = parent.astype(np.int32)
+    size_by_root = np.bincount(root_of, minlength=v_count).astype(np.int64)
     sizes = size_by_root[size_by_root > 0]
     sizes_desc = np.sort(sizes)[::-1].copy()
-    return ClusterLabeling(graph.dim, parent, size_by_root, sizes_desc)
+    return ClusterLabeling(graph.dim, root_of, size_by_root, sizes_desc)
 
 
 def cluster_size_of(labeling: ClusterLabeling, vertex: int) -> int:

@@ -279,7 +279,7 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
     dim = CubeDim(n)
     p = pc.p_hat + eps / n
     if p > 1.0:
-        p = 1.0
+        raise ValueError(f"eps pushes p = p_hat + eps/n = {p} above 1")
     q = eps / (2.0 * n)
     if q > p:
         raise ValueError("sprinkling layer density exceeds the total density")

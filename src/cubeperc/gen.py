@@ -13,6 +13,7 @@ vector of length 2^(n-1) and the flat edge id is i * 2^(n-1) + plane index.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -36,27 +37,23 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _REPLICATE_SALT = 0xD2B74407B1CE6E93
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# edges hashed per block: two uint64 buffers of 256 KiB stay in L2
+_BLOCK = 1 << 15
+_BLOCK_STRIDES = np.arange(_BLOCK, dtype=np.uint64)
+_BLOCK_STRIDES *= np.uint64(_GOLDEN)  # in place: no second 256 KiB array at import
+_BLOCK_STRIDES.setflags(write=False)
 
 
 def _mix64_scalar(x: int) -> int:
     """SplitMix64 finalizer on a 64-bit integer."""
     x &= _MASK64
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = (x * _MIX1) & _MASK64
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
+    x = (x * _MIX2) & _MASK64
     x ^= x >> 31
-    return x
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on uint64 (wrapping arithmetic)."""
-    x = x.copy()
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
     return x
 
 
@@ -100,13 +97,34 @@ def _expand_plane_index(idx: np.ndarray, direction: int) -> np.ndarray:
     return ((idx >> d) << (d + 1)) | (idx & ((1 << d) - 1))
 
 
+def _edge_hashes(dim: CubeDim, seed: SeedSpec):
+    """Yield (lo, hi, h): h holds the 64-bit hashes of flat edge ids lo..hi-1.
+
+    Blocks of _BLOCK edges are mixed in place in one reused buffer (SplitMix64
+    of id * golden + stream key, wrapping), so consume h before the next block.
+    """
+    key = seed.stream_key()
+    total = dim.edge_count
+    h = np.empty(min(_BLOCK, total), dtype=np.uint64)
+    t = np.empty_like(h)
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        x, y = h[:hi - lo], t[:hi - lo]
+        np.add(_BLOCK_STRIDES[:hi - lo], np.uint64((lo * _GOLDEN + key) & _MASK64), out=x)
+        for shift, mul in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(x, np.uint64(shift), out=y)
+            x ^= y
+            x *= np.uint64(mul)
+        np.right_shift(x, np.uint64(31), out=y)
+        x ^= y
+        yield lo, hi, x
+
+
 def edge_uniforms(dim: CubeDim, seed: SeedSpec) -> np.ndarray:
     """Per-edge uniforms in [0, 1), shape (n, 2^(n-1)), one row per direction."""
-    key = seed.stream_key()
-    ids = np.arange(dim.edge_count, dtype=np.uint64)
-    state = ids * np.uint64(_GOLDEN) + np.uint64(key)
-    vals = _mix64(state)
-    u = (vals >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u = np.empty(dim.edge_count, dtype=np.float64)
+    for lo, hi, h in _edge_hashes(dim, seed):
+        np.multiply(h >> np.uint64(11), 2.0**-53, out=u[lo:hi])
     return u.reshape(dim.n, -1)
 
 
@@ -146,9 +164,7 @@ class OccupiedGraph:
 
 def sample_subgraph(dim: CubeDim, p: float, seed: SeedSpec) -> OccupiedGraph:
     """Sample each canonical edge independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return OccupiedGraph(dim, edge_uniforms(dim, seed) < p, p, seed)
+    return coupled_sample(dim, [p], seed)[0]
 
 
 def coupled_sample(dim: CubeDim, p_list: list[float], seed: SeedSpec) -> list[OccupiedGraph]:
@@ -159,10 +175,18 @@ def coupled_sample(dim: CubeDim, p_list: list[float], seed: SeedSpec) -> list[Oc
     """
     if any(b < a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be ascending")
-    if p_list and (p_list[0] < 0.0 or p_list[-1] > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    u = edge_uniforms(dim, seed)
-    return [OccupiedGraph(dim, u < p, p, seed) for p in p_list]
+    for p in p_list:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+    # u < p for u = (h >> 11) * 2^-53 is h < ceil(p * 2^53) << 11, tested on
+    # the integer hash; at p = 1 that shift overflows and every edge is kept
+    thresholds = [np.uint64(math.ceil(p * 2.0**53) << 11) if p < 1.0 else None for p in p_list]
+    planes = [np.ones(dim.edge_count, dtype=bool) for _ in p_list]
+    for lo, hi, h in _edge_hashes(dim, seed):
+        for out, thr in zip(planes, thresholds):
+            if thr is not None:
+                np.less(h, thr, out=out[lo:hi])
+    return [OccupiedGraph(dim, out.reshape(dim.n, -1), p, seed) for out, p in zip(planes, p_list)]
 
 
 def union_graphs(a: OccupiedGraph, b: OccupiedGraph) -> OccupiedGraph:
@@ -209,16 +233,21 @@ def save_occupancy(graph: OccupiedGraph, path) -> None:
 
 def load_occupancy(path) -> OccupiedGraph:
     with open(path, "rb") as fh:
-        magic, version, n, p, master_seed, replicate_index = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ValueError("not an occupancy dump")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        dim = CubeDim(n)
-        half = 1 << (n - 1)
-        plane_bytes = (half + 7) // 8
-        planes = np.empty((n, half), dtype=bool)
-        for d in range(n):
-            raw = np.frombuffer(fh.read(plane_bytes), dtype=np.uint8)
-            planes[d] = np.unpackbits(raw, bitorder="little")[:half].astype(bool)
-    return OccupiedGraph(dim, planes, p, SeedSpec(master_seed, replicate_index))
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise ValueError(f"truncated occupancy dump: header needs {_HEADER.size} bytes, "
+                         f"got {len(data)}")
+    magic, version, n, p, master_seed, replicate_index = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise ValueError("not an occupancy dump")
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version}")
+    dim = CubeDim(n)
+    half = 1 << (n - 1)
+    plane_bytes = (half + 7) // 8
+    size = _HEADER.size + n * plane_bytes
+    if len(data) < size:
+        raise ValueError(f"truncated occupancy dump: n = {n} needs {size} bytes, got {len(data)}")
+    raw = np.frombuffer(data, dtype=np.uint8, count=n * plane_bytes, offset=_HEADER.size)
+    planes = np.unpackbits(raw.reshape(n, plane_bytes), axis=1, bitorder="little")[:, :half]
+    return OccupiedGraph(dim, planes.astype(bool), p, SeedSpec(master_seed, replicate_index))

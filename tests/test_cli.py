@@ -105,6 +105,11 @@ def test_sprinkle_and_duality_commands(tmp_path):
     assert code == EXIT_OK
     assert len(_read_csv(out2 / "duality.csv")) == 7
 
+    # p_hat + eps/n = 0.12 + 8/8 exceeds 1
+    code = parse_and_dispatch(["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1",
+                               "--pc", "0.12", "--out", str(tmp_path / "over")])
+    assert code == EXIT_USAGE
+
 
 def test_triangle_command(tmp_path):
     out = tmp_path / "tri"

@@ -67,12 +67,42 @@ def test_agrees_with_bfs_reference(n, p, rep):
     lab = label_components(g)
     ref_label, ref_sizes = bfs_component_sizes(g)
     assert lab.sizes_desc.tolist() == ref_sizes.tolist()
-    # identical partition: same-root exactly when same BFS label
-    order = np.argsort(ref_label, kind="stable")
-    boundaries = np.flatnonzero(np.diff(ref_label[order])) + 1
-    for group in np.split(order, boundaries):
-        roots = lab.root_of[group]
-        assert (roots == roots[0]).all()
+    # both label every vertex by the smallest vertex of its component
+    assert np.array_equal(lab.root_of, ref_label)
+
+
+def _path_graph(dim, vertices):
+    """Graph whose occupied edges join consecutive vertices of a Q_n path."""
+    planes = np.zeros((dim.n, dim.volume // 2), dtype=bool)
+    for a, b in zip(vertices, vertices[1:]):
+        d = (a ^ b).bit_length() - 1
+        assert a ^ b == 1 << d, "consecutive path vertices must be cube neighbors"
+        low = min(a, b)
+        planes[d, ((low >> (d + 1)) << d) | (low & ((1 << d) - 1))] = True
+    return OccupiedGraph(dim, planes, 0.0, None)
+
+
+def _gray_path(n):
+    return [i ^ (i >> 1) for i in range(1 << n)]
+
+
+def _descending_path(n):
+    # 2^n - 1 down to 0, clearing the highest set bit at each step
+    return [(1 << k) - 1 for k in range(n, -1, -1)]
+
+
+@pytest.mark.parametrize("case", ["empty", "full", "gray", "descending"])
+def test_fixed_cases_agree_with_bfs_reference(case):
+    dim = CubeDim(10)
+    if case in ("empty", "full"):
+        g = sample_subgraph(dim, 0.0 if case == "empty" else 1.0, SeedSpec(0))
+    else:
+        g = _path_graph(dim, _gray_path(10) if case == "gray" else _descending_path(10))
+    lab = label_components(g)
+    ref_label, ref_sizes = bfs_component_sizes(g)
+    assert np.array_equal(lab.root_of, ref_label)
+    assert lab.sizes_desc.tolist() == ref_sizes.tolist()
+    assert int(lab.size_by_root.sum()) == dim.volume
 
 
 def test_double_counting_identity():

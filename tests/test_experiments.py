@@ -137,6 +137,10 @@ def test_sprinkling_validation():
         sprinkling_experiment(8, -0.1, 0.5, SeedSpec(0), pc)
     with pytest.raises(ValueError):
         sprinkling_experiment(8, 0.5, 1.5, SeedSpec(0), pc)
+    # p = p_hat + eps/n above 1 is rejected, not clamped; p = 1 itself is allowed
+    with pytest.raises(ValueError, match="above 1"):
+        sprinkling_experiment(8, 7.5, 0.5, SeedSpec(0), _pc_stub(8, 0.1))
+    assert sprinkling_experiment(4, 2.0, 0.5, SeedSpec(0), _pc_stub(4, 0.5)).p == 1.0
 
 
 def test_duality_edges():

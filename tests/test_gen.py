@@ -97,6 +97,48 @@ def test_coupled_marginal_matches_plain_sample():
     assert (coupled[1].planes == sample_subgraph(dim, 0.75, seed).planes).all()
 
 
+def _reference_uniform(seed, flat_id):
+    """One edge's uniform, with the SplitMix64 hash written out on Python integers."""
+    mask = (1 << 64) - 1
+    x = (flat_id * 0x9E3779B97F4A7C15 + seed.stream_key()) & mask
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & mask
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & mask
+    x ^= x >> 31
+    return (x >> 11) * 2.0**-53
+
+
+def test_edge_uniforms_match_scalar_hash():
+    # n = 14 has 114688 edges, so the ids cross several hash blocks
+    dim = CubeDim(14)
+    seed = SeedSpec(2026, 5)
+    u = edge_uniforms(dim, seed).ravel()
+    ids = [0, 1, 32767, 32768, 65535, 65536, 98304, dim.edge_count - 1]
+    ids += np.random.default_rng(0).integers(0, dim.edge_count, 50).tolist()
+    for i in ids:
+        assert u[i] == _reference_uniform(seed, i), i
+
+
+_EDGE_CASE_P = [0.0, 1.0, 5e-324, math.nextafter(0.5, -1.0), math.nextafter(0.5, 1.0)]
+
+
+@given(n=st.sampled_from([1, 2, 5, 9, 13, 14]),
+       p=st.one_of(st.sampled_from(_EDGE_CASE_P), st.floats(0.0, 1.0)),
+       master=st.integers(0, 2**63), rep=st.integers(0, 2**31))
+@settings(deadline=None, max_examples=60)
+def test_integer_threshold_matches_float_uniforms(n, p, master, rep):
+    dim = CubeDim(n)
+    seed = SeedSpec(master, rep)
+    u = edge_uniforms(dim, seed)
+    assert np.array_equal(sample_subgraph(dim, p, seed).planes, u < p)
+    # the coupled grid also sits exactly on, and just above, one sampled uniform
+    first = float(u.flat[0])
+    p_list = sorted({0.0, p, first, math.nextafter(first, 1.0), 1.0})
+    for graph in coupled_sample(dim, p_list, seed):
+        assert np.array_equal(graph.planes, u < graph.p)
+
+
 def test_union_graphs():
     dim = CubeDim(6)
     g = sample_subgraph(dim, 0.4, SeedSpec(1))
@@ -192,6 +234,25 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         load_occupancy(path)
+
+
+def test_load_rejects_truncated_dump(tmp_path):
+    path = tmp_path / "graph.bin"
+    graph = sample_subgraph(CubeDim(6), 0.5, SeedSpec(1, 2))
+    save_occupancy(graph, path)
+    data = path.read_bytes()
+    header = len(data) - 6 * 4  # six planes of 32 bits each
+    for cut in (0, 10, header - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=f"header needs {header} bytes, got {cut}$"):
+            load_occupancy(path)
+    # cuts at plane boundaries, inside the first plane and inside the last
+    for cut in (header, header + 1, header + 4, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=f"n = 6 needs {len(data)} bytes, got {cut}$"):
+            load_occupancy(path)
+    path.write_bytes(data)
+    assert (load_occupancy(path).planes == graph.planes).all()
 
 
 def test_occupancy_immutable():
