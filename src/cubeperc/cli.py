@@ -22,6 +22,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from . import __version__, reports
 from .critical import DEFAULT_LAMBDA, PcResult, ReplicateSchedule, solve_pc
 from .cube import CubeDim
@@ -38,7 +40,8 @@ from .experiments import (
 from .gen import SeedSpec, sample_subgraph
 from .clusters import label_components
 from .lemmas import run_harper_suite, run_overlap_suite, run_paths_suite, run_tail_suite
-from .stats import chi_hat, two_point_radial_hat, triangle_diagram_hat
+from .stats import (Estimate, chi_hat, chi_sample, pair_census, triangle_diagram_hat,
+                    two_point_profile)
 
 __all__ = ["main", "parse_and_dispatch"]
 
@@ -64,14 +67,6 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def _bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 _COMMON = [
     Option("out", str, None, "output directory (default runs/<subcommand>)"),
     Option("seed", int, 1, "master seed"),
@@ -85,19 +80,12 @@ _SOLVER = [
     Option("replicates-start", int, 64, "replicates at the first schedule level"),
     Option("replicates-cap", int, 8192, "replicate cap per midpoint"),
     Option("max-bisections", int, 80, "bisection iteration budget"),
-    Option("pc", float, None, "threshold override; skips solving"),
 ]
+_PC = [Option("pc", float, None, "threshold override; skips solving")]
 
 OPTIONS: dict[str, list[Option]] = {
-    "pc-solve": _COMMON + [
-        Option("n", int, None, "cube dimension"),
-        Option("lambda", float, DEFAULT_LAMBDA, "susceptibility target multiplier"),
-        Option("tol-p", float, None, "bisection tolerance in p (default window/4)"),
-        Option("replicates-start", int, 64, "replicates at the first schedule level"),
-        Option("replicates-cap", int, 8192, "replicate cap per midpoint"),
-        Option("max-bisections", int, 80, "bisection iteration budget"),
-    ],
-    "sweep": _COMMON + _SOLVER + [
+    "pc-solve": _COMMON + [Option("n", int, None, "cube dimension")] + _SOLVER,
+    "sweep": _COMMON + _SOLVER + _PC + [
         Option("n", int, None, "cube dimension"),
         Option("alpha", float, DEFAULT_ALPHA, "percolation-probability exponent"),
         Option("eps", _float_list, None, "comma-separated epsilon grid"),
@@ -107,18 +95,18 @@ OPTIONS: dict[str, list[Option]] = {
         Option("k1", float, 1.0, "triangle bound constant K1"),
         Option("k2", float, 1.0, "triangle bound constant K2"),
     ],
-    "sprinkle": _COMMON + _SOLVER + [
+    "sprinkle": _COMMON + _SOLVER + _PC + [
         Option("n", int, None, "cube dimension"),
         Option("eps", float, 0.3, "distance above the threshold in window units"),
         Option("alpha", float, DEFAULT_ALPHA, "component-size exponent"),
         Option("seeds", int, 100, "number of independent repetitions"),
     ],
-    "duality": _COMMON + _SOLVER + [
+    "duality": _COMMON + _SOLVER + _PC + [
         Option("n", int, None, "cube dimension"),
         Option("eps", float, 0.3, "mirror distance from the threshold"),
         Option("replicates", int, 100, "matched replicates per side"),
     ],
-    "triangle": _COMMON + _SOLVER + [
+    "triangle": _COMMON + _SOLVER + _PC + [
         Option("n", int, None, "cube dimension"),
         Option("p", float, None, "density (overrides eps)"),
         Option("eps", float, 0.0, "density offset from the solved threshold"),
@@ -222,7 +210,7 @@ def _out_dir(cfg: dict[str, Any]) -> Path:
 
 
 def _manifest(cfg: dict[str, Any], started: float, outputs: list[str]) -> dict[str, Any]:
-    entries: dict[str, Any] = {"version": __version__}
+    entries: dict[str, Any] = {"version": __version__, "numpy_version": np.__version__}
     for key in sorted(cfg):
         if key == "config":
             continue
@@ -338,10 +326,14 @@ def _cmd_triangle(cfg: dict[str, Any]) -> int:
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"density {p} outside [0, 1]")
     dim = CubeDim(cfg["n"])
-    labelings = [label_components(sample_subgraph(dim, p, SeedSpec(cfg["seed"], r)))
-                 for r in range(cfg["replicates"])]
-    profile = two_point_radial_hat(labelings)
-    chi = chi_hat(labelings)
+    # keep each replicate's statistics, not its labeling
+    chis, censuses = [], []
+    for r in range(cfg["replicates"]):
+        lab = label_components(sample_subgraph(dim, p, SeedSpec(cfg["seed"], r)))
+        chis.append(chi_sample(lab))
+        censuses.append(pair_census(lab))
+    profile = two_point_profile(dim, censuses)
+    chi = Estimate.from_samples(np.array(chis))
     report = triangle_diagram_hat(profile, chi.mean, cfg["k1"], cfg["k2"], p=p)
     reports.write_csv(out / "two_point.csv", reports.PROFILE_HEADER,
                       reports.profile_rows(profile))

@@ -24,6 +24,7 @@ from .stats import (
     chi_sample,
     n_alpha,
     pair_census,
+    radial_totals,
     triangle_diagram_hat,
 )
 
@@ -235,9 +236,7 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float | None = None) -> list[Swee
 
         triangle = None
         if flags.triangle:
-            totals = dim.volume * np.array([math.comb(cfg.n, k) for k in range(cfg.n + 1)],
-                                           dtype=np.float64) * cfg.replicates
-            profile = RadialProfile(dim, census / totals)
+            profile = RadialProfile(dim, census / (radial_totals(dim) * cfg.replicates))
             chi_pt = float(np.mean(chi_samples)) if chi_samples else float("nan")
             triangle = triangle_diagram_hat(profile, chi_pt, cfg.k1, cfg.k2, p=p)
 

@@ -156,11 +156,6 @@ class OccupiedGraph:
         u = _expand_plane_index(idx, direction)
         return u, u | (1 << direction)
 
-    def contains_edge(self, edge: EdgeId) -> bool:
-        d = edge.direction
-        plane_idx = ((edge.vertex >> (d + 1)) << d) | (edge.vertex & ((1 << d) - 1))
-        return bool(self.planes[d, plane_idx])
-
 
 def sample_subgraph(dim: CubeDim, p: float, seed: SeedSpec) -> OccupiedGraph:
     """Sample each canonical edge independently with probability p."""

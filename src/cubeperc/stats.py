@@ -5,12 +5,14 @@ reduced with fixed-order summation, so repeated runs are bit-stable.
 The susceptibility is estimated through the sum-of-squared-cluster-sizes
 identity, which uses every vertex of every replicate; its variance is
 taken across replicates only, since cluster sizes within one replicate
-are dependent.
+are dependent.  The two-point function and the triangle rest on an exact
+per-replicate census of same-component pairs by distance (`pair_census`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,14 +31,13 @@ __all__ = [
     "p_geq_k_hat",
     "n_alpha",
     "theta_alpha_hat",
+    "pair_census",
+    "two_point_profile",
     "two_point_radial_hat",
     "radial_convolution",
     "triangle_diagram_hat",
     "z_concentration_check",
 ]
-
-EXACT_PAIR_CENSUS_MAX_N = 16
-DEFAULT_PAIR_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -150,72 +151,125 @@ def theta_alpha_hat(labelings: list[ClusterLabeling], n_alpha_value: float) -> E
     return p_geq_k_hat(labelings, math.ceil(n_alpha_value))
 
 
-def pair_census(labeling: ClusterLabeling, block: int = 2048) -> np.ndarray:
-    """Ordered same-component pair counts by distance k = 0..n, exact.
+# The direct census XORs at most this many vertex pairs at a time.
+PAIR_CHUNK = 1 << 16
 
-    Every vertex pairs with itself at distance 0, so entry 0 is always 2^n.
-    Cost grows with the sum of squared component sizes; use the sampled
-    estimator for large dimensions or dense graphs.
+
+def radial_totals(dim: CubeDim) -> np.ndarray:
+    """Ordered vertex pairs at each distance k = 0..n: 2^n C(n, k)."""
+    return dim.volume * np.array([math.comb(dim.n, k) for k in range(dim.n + 1)],
+                                 dtype=np.float64)
+
+
+@lru_cache(maxsize=None)
+def _krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Exact K[k][w] = sum_j (-1)^j C(w, j) C(n - w, k - j), the Hamming-scheme eigenvalues."""
+    return tuple(tuple(sum((-1) ** j * math.comb(w, j) * math.comb(n - w, k - j)
+                           for j in range(min(w, k) + 1)) for w in range(n + 1))
+                 for k in range(n + 1))
+
+
+def _walsh_hadamard(f: np.ndarray, n: int) -> np.ndarray:
+    """Walsh-Hadamard transform of a length-2^n vector, in n butterfly passes.
+
+    A pass over a low bit would run numpy's inner loop over a few elements
+    only, so each half of the bits is transformed while it sits on top: the
+    high half first, then the low half after a transposed copy, which a
+    second copy undoes.
     """
-    n = labeling.dim.n
+    for low in (n // 2, n - n // 2):
+        for i in range(low, n):
+            pairs = f.reshape(-1, 2, 1 << i)
+            a, b = pairs[:, 0], pairs[:, 1]
+            a += b
+            b *= -2
+            b += a
+        f = f.reshape(-1, 1 << low).T.copy().reshape(-1)
+    return f
+
+
+def _weight_sums(spectrum: np.ndarray, n: int) -> list[int]:
+    """S_w, the sum of spectrum(s)^2 over the indices s of popcount w, exact.
+
+    Folds the top index bit away n times; row w of the folded array holds
+    the sums over the folded bits of weight w.
+    """
+    sq = spectrum.astype(np.int64)
+    sq *= sq
+    t = sq[None, :]
+    for _ in range(n):
+        half = t.shape[1] // 2
+        folded = np.zeros((t.shape[0] + 1, half), dtype=np.int64)
+        folded[:-1] = t[:, :half]
+        folded[1:] += t[:, half:]
+        t = folded
+    return t[:, 0].tolist()
+
+
+def _direct_census(members: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """XOR/popcount census of components laid out contiguously, grouped by size.
+
+    The components of one size s form an (m, s) member matrix, XORed with
+    itself a block of components (or, for large s, of rows) at a time.
+    """
     counts = np.zeros(n + 1, dtype=np.int64)
-    order = np.argsort(labeling.root_of, kind="stable").astype(np.int64)
-    roots_sorted = labeling.root_of[order]
-    boundaries = np.flatnonzero(np.diff(roots_sorted)) + 1
-    start = 0
-    seen_in_groups = 0
-    for stop in list(boundaries) + [order.shape[0]]:
-        group = order[start:stop]
-        start = stop
-        if group.shape[0] < 2:
-            continue
-        seen_in_groups += group.shape[0]
-        for i0 in range(0, group.shape[0], block):
-            pc = np.bitwise_count(group[i0:i0 + block, None] ^ group[None, :])
-            counts += np.bincount(pc.ravel(), minlength=n + 1)[:n + 1]
-    counts[0] += labeling.dim.volume - seen_in_groups
+    starts = np.flatnonzero(np.diff(sizes, prepend=0))
+    for a, b in zip(starts.tolist(), starts[1:].tolist() + [sizes.shape[0]]):
+        s = int(sizes[a])
+        block = members[a:b].reshape(-1, s)
+        per_chunk, rows = max(1, PAIR_CHUNK // (s * s)), max(1, PAIR_CHUNK // s)
+        for c0 in range(0, block.shape[0], per_chunk):
+            part = block[c0:c0 + per_chunk]
+            for i0 in range(0, s, rows):
+                x = part[:, i0:i0 + rows, None] ^ part[:, None, :]
+                counts += np.bincount(np.bitwise_count(x).reshape(-1), minlength=n + 1)
     return counts
 
 
-def _sampled_profile(labeling: ClusterLabeling, pair_samples: int, seed: int) -> np.ndarray:
-    """Stratified pair sampling: fixed sample budget per distance class."""
-    n = labeling.dim.n
-    v_count = labeling.dim.volume
-    rng = np.random.default_rng(seed)
-    per_k = max(1, pair_samples // (n + 1))
-    values = np.empty(n + 1, dtype=np.float64)
-    values[0] = 1.0
-    root = labeling.root_of
-    for k in range(1, n + 1):
-        x = rng.integers(0, v_count, per_k)
-        picks = np.argsort(rng.random((per_k, n)), axis=1)[:, :k]
-        masks = (np.int64(1) << picks).sum(axis=1)
-        y = x ^ masks
-        values[k] = float((root[x] == root[y]).mean())
-    return values
+def pair_census(labeling: ClusterLabeling) -> np.ndarray:
+    """Ordered same-component pair counts by distance k = 0..n, exact.
 
-
-def two_point_radial_hat(labelings: list[ClusterLabeling], *, method: str = "auto",
-                         pair_samples: int = DEFAULT_PAIR_SAMPLES, seed: int = 0) -> RadialProfile:
-    """Connection probability by distance, pooled over all pairs and replicates.
-
-    Distances are pooled exactly through a per-component pair census up to
-    n = 16 (method="exact"); beyond that, stratified sampled pairs keep the
-    cost bounded (method="sampled").
+    Every vertex pairs with itself at distance 0, so entry 0 is always 2^n.
+    A component C with |C|^2 > n 2^n is counted through the Walsh-Hadamard
+    transform f^ of its indicator: the pairs at distance k number
+    2^-n sum_w K_k(w) S_w, with S_w the sum of f^(s)^2 over |s| = w and K_k
+    the Krawtchouk polynomial.  f^ is exact in int32 (|f^| <= |C| <= 2^28)
+    and S_w in int64 (S_w <= 2^n |C| <= 2^56); the contraction runs in
+    Python integers.  The other components of two or more vertices are
+    counted directly, by the popcount of the XOR of every member pair,
+    batched by component size.  Working memory is O(2^n).
     """
+    n, v_count = labeling.dim.n, labeling.dim.volume
+    root_of, size_by_root = labeling.root_of, labeling.size_by_root
+    cut = math.isqrt(n * v_count)
+    spectral = [0] * (n + 1)
+    for root in np.flatnonzero(size_by_root > cut).tolist():
+        spectrum = _walsh_hadamard((root_of == root).astype(np.int32), n)
+        spectral = [a + b for a, b in zip(spectral, _weight_sums(spectrum, n))]
+    totals = [sum(map(operator.mul, row, spectral)) for row in _krawtchouk_table(n)]
+    assert all(t % v_count == 0 for t in totals), "spectral census must divide by 2^n"
+    counts = np.array([t // v_count for t in totals], dtype=np.int64)
+    # direct members, sorted by (component size, root)
+    direct = np.flatnonzero(((size_by_root >= 2) & (size_by_root <= cut))[root_of])
+    roots = root_of[direct].astype(np.int64)
+    order = np.argsort(size_by_root[roots] << n | roots)
+    counts += _direct_census(direct[order], size_by_root[roots[order]], n)
+    counts[0] += int(np.count_nonzero(size_by_root == 1))
+    return counts
+
+
+def two_point_profile(dim: CubeDim, censuses: list[np.ndarray]) -> RadialProfile:
+    """Mean over replicates of each pair census divided by the pair totals."""
+    if not censuses:
+        raise ValueError("at least one census required")
+    totals = radial_totals(dim)
+    return RadialProfile(dim, np.vstack([c / totals for c in censuses]).mean(axis=0))
+
+
+def two_point_radial_hat(labelings: list[ClusterLabeling]) -> RadialProfile:
+    """Connection probability by distance: the two-point profile of each replicate's census."""
     dim = _check_labelings(labelings)
-    if method == "auto":
-        method = "exact" if dim.n <= EXACT_PAIR_CENSUS_MAX_N else "sampled"
-    if method not in ("exact", "sampled"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact":
-        totals = dim.volume * np.array([math.comb(dim.n, k) for k in range(dim.n + 1)], dtype=np.float64)
-        per_rep = [pair_census(lab) / totals for lab in labelings]
-    else:
-        per_rep = [_sampled_profile(lab, pair_samples, seed + 1000003 * r)
-                   for r, lab in enumerate(labelings)]
-    stacked = np.vstack(per_rep)
-    return RadialProfile(dim, stacked.mean(axis=0))
+    return two_point_profile(dim, [pair_census(lab) for lab in labelings])
 
 
 @lru_cache(maxsize=None)

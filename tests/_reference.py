@@ -2,7 +2,8 @@
 
 Deliberately written with different algorithms from the package: labeling
 goes through explicit breadth-first search, convolution through the raw
-vertex double sum, and the small-cube enumeration through the BFS labeler.
+vertex double sum, the pair census through every vertex pair of the BFS
+labels, and the small-cube enumeration through the BFS labeler.
 """
 
 from __future__ import annotations
@@ -43,6 +44,34 @@ def bfs_component_sizes(graph: OccupiedGraph) -> tuple[np.ndarray, np.ndarray]:
                     queue.append(w)
         sizes.append(size)
     return label, np.sort(np.array(sizes, dtype=np.int64))[::-1]
+
+
+def reference_pair_census(graph: OccupiedGraph) -> np.ndarray:
+    """Ordered same-component pairs by distance, from every vertex pair and BFS labels."""
+    n = graph.dim.n
+    label, _ = bfs_component_sizes(graph)
+    vertices = np.arange(graph.dim.volume)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for x in range(graph.dim.volume):
+        partners = vertices[label == label[x]]
+        counts += np.bincount(np.bitwise_count(partners ^ x), minlength=n + 1)
+    return counts
+
+
+def path_graph(dim: CubeDim, vertices: list[int]) -> OccupiedGraph:
+    """Graph whose occupied edges join consecutive vertices of a Q_n path."""
+    planes = np.zeros((dim.n, dim.volume // 2), dtype=bool)
+    for a, b in zip(vertices, vertices[1:]):
+        d = (a ^ b).bit_length() - 1
+        assert a ^ b == 1 << d, "consecutive path vertices must be cube neighbors"
+        low = min(a, b)
+        planes[d, ((low >> (d + 1)) << d) | (low & ((1 << d) - 1))] = True
+    return OccupiedGraph(dim, planes, 0.0, None)
+
+
+def gray_path(n: int) -> list[int]:
+    """The reflected Gray code: a Hamiltonian path of Q_n."""
+    return [i ^ (i >> 1) for i in range(1 << n)]
 
 
 def direct_radial_convolution(n: int, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:

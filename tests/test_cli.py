@@ -144,4 +144,5 @@ def test_manifest_records_config(tmp_path):
     assert "subcommand = oracle" in manifest
     assert "p = 0.25" in manifest
     assert "version = " in manifest
+    assert "numpy_version = " in manifest
     assert "wall_clock_seconds = " in manifest

@@ -12,7 +12,7 @@ from cubeperc.clusters import (
 from cubeperc.cube import CubeDim
 from cubeperc.gen import OccupiedGraph, SeedSpec, coupled_sample, sample_subgraph
 
-from _reference import bfs_component_sizes
+from _reference import bfs_component_sizes, gray_path, path_graph
 
 
 def _graph_from_planes(dim, plane_bits):
@@ -71,21 +71,6 @@ def test_agrees_with_bfs_reference(n, p, rep):
     assert np.array_equal(lab.root_of, ref_label)
 
 
-def _path_graph(dim, vertices):
-    """Graph whose occupied edges join consecutive vertices of a Q_n path."""
-    planes = np.zeros((dim.n, dim.volume // 2), dtype=bool)
-    for a, b in zip(vertices, vertices[1:]):
-        d = (a ^ b).bit_length() - 1
-        assert a ^ b == 1 << d, "consecutive path vertices must be cube neighbors"
-        low = min(a, b)
-        planes[d, ((low >> (d + 1)) << d) | (low & ((1 << d) - 1))] = True
-    return OccupiedGraph(dim, planes, 0.0, None)
-
-
-def _gray_path(n):
-    return [i ^ (i >> 1) for i in range(1 << n)]
-
-
 def _descending_path(n):
     # 2^n - 1 down to 0, clearing the highest set bit at each step
     return [(1 << k) - 1 for k in range(n, -1, -1)]
@@ -97,7 +82,7 @@ def test_fixed_cases_agree_with_bfs_reference(case):
     if case in ("empty", "full"):
         g = sample_subgraph(dim, 0.0 if case == "empty" else 1.0, SeedSpec(0))
     else:
-        g = _path_graph(dim, _gray_path(10) if case == "gray" else _descending_path(10))
+        g = path_graph(dim, gray_path(10) if case == "gray" else _descending_path(10))
     lab = label_components(g)
     ref_label, ref_sizes = bfs_component_sizes(g)
     assert np.array_equal(lab.root_of, ref_label)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeperc.clusters import label_components
+from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
 from cubeperc.gen import SeedSpec, coupled_sample, sample_subgraph
 from cubeperc.stats import (
@@ -15,6 +17,7 @@ from cubeperc.stats import (
     chi_sample,
     n_alpha,
     p_geq_k_hat,
+    pair_census,
     radial_convolution,
     theta_alpha_hat,
     triangle_diagram_hat,
@@ -22,7 +25,13 @@ from cubeperc.stats import (
     z_concentration_check,
 )
 
-from _reference import direct_radial_convolution, enumerate_chi
+from _reference import (
+    direct_radial_convolution,
+    enumerate_chi,
+    gray_path,
+    path_graph,
+    reference_pair_census,
+)
 
 
 def _labelings(n, p, replicates, master=0):
@@ -130,12 +139,53 @@ def test_two_point_trivials():
     assert np.isfinite(mid.values).all()
 
 
-def test_two_point_sampled_matches_exact():
-    labs = _labelings(8, 0.2, 6, master=3)
-    exact = two_point_radial_hat(labs, method="exact")
-    sampled = two_point_radial_hat(labs, method="sampled", pair_samples=200_000, seed=1)
-    assert sampled.values[0] == 1.0
-    assert np.allclose(exact.values, sampled.values, atol=0.02)
+@given(n=st.integers(1, 10), p=st.floats(0.0, 1.0), rep=st.integers(0, 1000))
+@settings(deadline=None, max_examples=100)
+def test_pair_census_matches_reference(n, p, rep):
+    g = sample_subgraph(CubeDim(n), p, SeedSpec(271, rep))
+    census = pair_census(label_components(g))
+    assert census.dtype == np.int64
+    assert census.tolist() == reference_pair_census(g).tolist()
+
+
+@pytest.mark.parametrize("case", ["empty", "full", "gray", "gray_at_cut", "gray_above_cut"])
+@pytest.mark.parametrize("n", [10, 13])
+def test_pair_census_fixed_cases(n, case):
+    # a component takes the spectral path when |C|^2 > n 2^n, i.e. |C| > cut:
+    # 101 at n = 10; 326 at n = 13, where a direct component of size cut no
+    # longer fits one XOR chunk and is taken in blocks of rows
+    dim = CubeDim(n)
+    cut = math.isqrt(dim.n * dim.volume)
+    if case in ("empty", "full"):
+        g = sample_subgraph(dim, 0.0 if case == "empty" else 1.0, SeedSpec(0))
+    else:
+        length = {"gray": dim.volume, "gray_at_cut": cut, "gray_above_cut": cut + 1}[case]
+        g = path_graph(dim, gray_path(dim.n)[:length])
+    census = pair_census(label_components(g))
+    assert census.tolist() == reference_pair_census(g).tolist()
+    if case in ("full", "gray"):
+        assert census.tolist() == [dim.volume * math.comb(dim.n, k) for k in range(dim.n + 1)]
+    if case == "empty":
+        assert census.tolist() == [dim.volume] + [0] * dim.n
+
+
+def test_pair_census_memory_is_bounded_per_vertex():
+    # above the window at n = 16 the giant (about 38k) takes the spectral path
+    n = 16
+    dim = CubeDim(n)
+    lab = label_components(sample_subgraph(dim, pc_expansion_reference(n) + 0.45 / n,
+                                           SeedSpec(2026, 0)))
+    assert int(lab.sizes_desc[0]) ** 2 > n * dim.volume
+    expected = pair_census(lab)  # warms the cached Krawtchouk table
+    tracemalloc.start()
+    try:
+        census = pair_census(lab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census.tolist() == expected.tolist()
+    assert int(census.sum()) == int((lab.sizes_desc.astype(np.int64) ** 2).sum())
+    assert peak <= 64 * dim.volume, f"peak {peak / dim.volume:.1f} B per vertex"
 
 
 def test_radial_profile_validation():
