@@ -40,6 +40,7 @@ from .stats import (  # noqa: F401
     n_alpha,
     p_geq_k_hat,
     radial_convolution,
+    replicate_stats,
     theta_alpha_hat,
     triangle_diagram_hat,
     two_point_radial_hat,

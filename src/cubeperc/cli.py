@@ -17,7 +17,7 @@ import argparse
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable
@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__, reports
-from .critical import DEFAULT_LAMBDA, PcResult, ReplicateSchedule, solve_pc
+from .critical import DEFAULT_LAMBDA, ReplicateSchedule, solve_pc
 from .cube import CubeDim
 from .experiments import (
     DEFAULT_ALPHA,
@@ -37,11 +37,9 @@ from .experiments import (
     run_sweep,
     sprinkling_experiment,
 )
-from .gen import SeedSpec, sample_subgraph
-from .clusters import label_components
+from .gen import SeedSpec
 from .lemmas import run_harper_suite, run_overlap_suite, run_paths_suite, run_tail_suite
-from .stats import (Estimate, chi_hat, chi_sample, pair_census, triangle_diagram_hat,
-                    two_point_profile)
+from .stats import Estimate, replicate_stats, triangle_diagram_hat, two_point_profile
 
 __all__ = ["main", "parse_and_dispatch"]
 
@@ -70,7 +68,6 @@ def _str_list(text: str) -> tuple[str, ...]:
 _COMMON = [
     Option("out", str, None, "output directory (default runs/<subcommand>)"),
     Option("seed", int, 1, "master seed"),
-    Option("threads", int, 0, "worker count hint; never affects results (0 = auto)"),
     Option("config", str, None, "flat key = value config file"),
 ]
 
@@ -229,7 +226,7 @@ def _schedule(cfg: dict[str, Any]) -> ReplicateSchedule:
                              max_bisections=cfg["max_bisections"])
 
 
-def _resolve_pc(cfg: dict[str, Any]) -> PcResult | float:
+def _p_hat(cfg: dict[str, Any]) -> float:
     if cfg.get("pc") is not None:
         return float(cfg["pc"])
     print(f"solving threshold for n={cfg['n']} lambda={cfg['lambda']} ...", file=sys.stderr)
@@ -237,7 +234,7 @@ def _resolve_pc(cfg: dict[str, Any]) -> PcResult | float:
                       master_seed=cfg["seed"])
     if not result.converged:
         raise UsageError("threshold solver did not converge; rerun with a larger budget")
-    return result
+    return result.p_hat
 
 
 def _cmd_pc_solve(cfg: dict[str, Any]) -> int:
@@ -260,19 +257,16 @@ def _cmd_pc_solve(cfg: dict[str, Any]) -> int:
 def _cmd_sweep(cfg: dict[str, Any]) -> int:
     out = _out_dir(cfg)
     started = time.perf_counter()
-    pc = _resolve_pc(cfg)
+    p_hat = _p_hat(cfg)
     names = set(cfg["observables"])
-    unknown = names - {"chi", "cmax", "c2", "theta", "z", "triangle"}
-    if unknown:
-        raise UsageError(f"unknown observables: {sorted(unknown)}")
-    flags = ObservableFlags(chi="chi" in names, cmax="cmax" in names, c2="c2" in names,
-                            theta="theta" in names, z="z" in names,
-                            triangle="triangle" in names)
-    sweep_cfg = SweepConfig(n=cfg["n"], lam=cfg["lambda"], alpha=cfg["alpha"],
-                            epsilon_grid=cfg["eps"], replicates=cfg["replicates"],
-                            master_seed=cfg["seed"], observables=flags,
-                            k1=cfg["k1"], k2=cfg["k2"])
-    records = run_sweep(sweep_cfg, pc)
+    known = [f.name for f in fields(ObservableFlags)]
+    if names - set(known):
+        raise UsageError(f"unknown observables: {sorted(names - set(known))}")
+    flags = ObservableFlags(**{name: name in names for name in known})
+    sweep_cfg = SweepConfig(n=cfg["n"], alpha=cfg["alpha"], epsilon_grid=cfg["eps"],
+                            replicates=cfg["replicates"], master_seed=cfg["seed"],
+                            observables=flags, k1=cfg["k1"], k2=cfg["k2"])
+    records = run_sweep(sweep_cfg, p_hat)
     summary = regime_summary(records)
     reports.write_csv(out / "sweep.csv", reports.SWEEP_HEADER, reports.sweep_rows(records))
     reports.write_csv(out / "regime_summary.csv", reports.SUMMARY_HEADER,
@@ -287,11 +281,11 @@ def _cmd_sweep(cfg: dict[str, Any]) -> int:
 def _cmd_sprinkle(cfg: dict[str, Any]) -> int:
     out = _out_dir(cfg)
     started = time.perf_counter()
-    pc = _resolve_pc(cfg)
+    p_hat = _p_hat(cfg)
     runs = []
     for r in range(cfg["seeds"]):
         runs.append(sprinkling_experiment(cfg["n"], cfg["eps"], cfg["alpha"],
-                                          SeedSpec(cfg["seed"], r), pc, cfg["lambda"]))
+                                          SeedSpec(cfg["seed"], r), p_hat))
         if (r + 1) % 25 == 0:
             print(f"sprinkle replicate {r + 1}/{cfg['seeds']}", file=sys.stderr)
     reports.write_csv(out / "sprinkle.csv", reports.SPRINKLE_HEADER, reports.sprinkle_rows(runs))
@@ -304,9 +298,8 @@ def _cmd_sprinkle(cfg: dict[str, Any]) -> int:
 def _cmd_duality(cfg: dict[str, Any]) -> int:
     out = _out_dir(cfg)
     started = time.perf_counter()
-    pc = _resolve_pc(cfg)
-    report = duality_experiment(cfg["n"], cfg["eps"], cfg["replicates"], cfg["seed"], pc,
-                                cfg["lambda"])
+    report = duality_experiment(cfg["n"], cfg["eps"], cfg["replicates"], cfg["seed"],
+                                _p_hat(cfg))
     reports.write_csv(out / "duality.csv", reports.DUALITY_HEADER, reports.duality_rows(report))
     reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, ["duality.csv"]))
     print(f"duality ratio mean|C2|({report.p_above:.5f}) / mean|Cmax|({report.p_below:.5f})"
@@ -317,24 +310,13 @@ def _cmd_duality(cfg: dict[str, Any]) -> int:
 def _cmd_triangle(cfg: dict[str, Any]) -> int:
     out = _out_dir(cfg)
     started = time.perf_counter()
-    if cfg["p"] is not None:
-        p = cfg["p"]
-    else:
-        pc = _resolve_pc(cfg)
-        p_hat = pc if isinstance(pc, float) else pc.p_hat
-        p = p_hat + cfg["eps"] / cfg["n"]
+    p = cfg["p"] if cfg["p"] is not None else _p_hat(cfg) + cfg["eps"] / cfg["n"]
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"density {p} outside [0, 1]")
     dim = CubeDim(cfg["n"])
-    # keep each replicate's statistics, not its labeling
-    chis, censuses = [], []
-    for r in range(cfg["replicates"]):
-        lab = label_components(sample_subgraph(dim, p, SeedSpec(cfg["seed"], r)))
-        chis.append(chi_sample(lab))
-        censuses.append(pair_census(lab))
-    profile = two_point_profile(dim, censuses)
-    chi = Estimate.from_samples(np.array(chis))
-    report = triangle_diagram_hat(profile, chi.mean, cfg["k1"], cfg["k2"], p=p)
+    st = replicate_stats(dim, p, cfg["seed"], range(cfg["replicates"]), chi=True, census=True)
+    profile = two_point_profile(dim, st.census)
+    report = triangle_diagram_hat(profile, float(st.chi.mean()), cfg["k1"], cfg["k2"], p=p)
     reports.write_csv(out / "two_point.csv", reports.PROFILE_HEADER,
                       reports.profile_rows(profile))
     reports.write_csv(out / "triangle.csv", reports.TRIANGLE_HEADER,
@@ -350,10 +332,8 @@ def _cmd_oracle(cfg: dict[str, Any]) -> int:
     out = _out_dir(cfg)
     started = time.perf_counter()
     oracle = exact_enumerate(cfg["n"], cfg["p"])
-    dim = CubeDim(cfg["n"])
-    labelings = [label_components(sample_subgraph(dim, cfg["p"], SeedSpec(cfg["seed"], r)))
-                 for r in range(cfg["replicates"])]
-    mc = chi_hat(labelings)
+    mc = Estimate.from_samples(replicate_stats(CubeDim(cfg["n"]), cfg["p"], cfg["seed"],
+                                               range(cfg["replicates"]), chi=True).chi)
     gap = abs(mc.mean - oracle.chi_exact)
     sigmas = gap / mc.std_error if mc.std_error > 0 else 0.0
     reports.write_csv(out / "oracle.csv",

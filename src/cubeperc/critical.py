@@ -9,15 +9,12 @@ bisection bracket never inverts for resolved endpoints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clusters import label_components
 from .cube import CubeDim
-from .gen import SeedSpec, sample_subgraph
-from .stats import Estimate, chi_sample
+from .stats import Estimate, replicate_stats
 
 __all__ = [
     "ReplicateSchedule",
@@ -88,22 +85,15 @@ def default_tol_p(n: int) -> float:
     return 2.0 ** (-n / 3.0) / (4.0 * n)
 
 
-def _chi_estimate(dim: CubeDim, p: float, count: int, master_seed: int,
-                  samples: list[float]) -> Estimate:
-    """Extend the per-replicate statistic list up to `count` replicates."""
-    for r in range(len(samples), count):
-        graph = sample_subgraph(dim, p, SeedSpec(master_seed, r))
-        samples.append(chi_sample(label_components(graph)))
-    return Estimate.from_samples(np.array(samples))
-
-
 def _evaluate_midpoint(dim: CubeDim, p: float, target: float,
                        schedule: ReplicateSchedule, master_seed: int) -> tuple[Estimate, bool]:
     """Add replicates until the confidence interval excludes the target or the cap hits."""
-    samples: list[float] = []
+    samples = np.empty(0)
     level = schedule.initial
     while True:
-        est = _chi_estimate(dim, p, level, master_seed, samples)
+        more = replicate_stats(dim, p, master_seed, range(samples.size, level), chi=True)
+        samples = np.concatenate([samples, more.chi])
+        est = Estimate.from_samples(samples)
         if abs(est.mean - target) > schedule.confidence_z * est.std_error:
             return est, True
         if level >= schedule.cap:
@@ -159,16 +149,18 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
     # interval stays commensurate with the susceptibility variation across
     # the terminal bracket; a huge count would resolve the O(tol_p) bias
     # instead of the target.
-    chi_final = _chi_estimate(dim, p_hat, schedule.initial, master_seed, [])
+    chi_final = Estimate.from_samples(
+        replicate_stats(dim, p_hat, master_seed, range(schedule.initial), chi=True).chi)
     total += chi_final.replicates
     return PcResult(dim.n, lam, p_hat, 0.5 * (hi - lo), total, chi_final, converged,
                     tuple(trace))
 
 
-def window_coord(p: float, pc: PcResult, lambda0: float = DEFAULT_WINDOW_LAMBDA0) -> WindowCoord:
-    """Classify a density relative to the solved threshold's scaling window."""
-    eps = pc.n * (p - pc.p_hat)
-    window_scaled = eps * 2.0 ** (pc.n / 3.0)
+def window_coord(p: float, n: int, p_hat: float,
+                 lambda0: float = DEFAULT_WINDOW_LAMBDA0) -> WindowCoord:
+    """Classify a density relative to the scaling window around the threshold p_hat."""
+    eps = n * (p - p_hat)
+    window_scaled = eps * 2.0 ** (n / 3.0)
     if window_scaled < -lambda0:
         regime = "below"
     elif window_scaled > lambda0:

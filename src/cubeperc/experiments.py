@@ -13,18 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clusters import ClusterLabeling, count_z_geq, label_components, top_two
-from .critical import DEFAULT_LAMBDA, PcResult, solve_pc, window_coord
+from .clusters import count_z_geq, label_components, top_two
+from .critical import PcResult, window_coord
 from .cube import CubeDim
-from .gen import SeedSpec, sample_subgraph, sprinkle_split, union_graphs
+from .gen import OccupiedGraph, SeedSpec, sample_subgraph, sprinkle_split, union_graphs
 from .stats import (
     Estimate,
     RadialProfile,
     TriangleReport,
-    chi_sample,
     n_alpha,
-    pair_census,
     radial_totals,
+    replicate_stats,
     triangle_diagram_hat,
 )
 
@@ -49,6 +48,8 @@ DEFAULT_ALPHA = 0.5
 
 @dataclass(frozen=True)
 class ObservableFlags:
+    """Which observables a sweep reports; each flag fills only its own fields."""
+
     chi: bool = True
     cmax: bool = True
     c2: bool = True
@@ -62,7 +63,6 @@ class SweepConfig:
     """Parameters of one epsilon-grid sweep."""
 
     n: int
-    lam: float = DEFAULT_LAMBDA
     alpha: float = DEFAULT_ALPHA
     epsilon_grid: tuple[float, ...] = (0.0,)
     replicates: int = 100
@@ -179,29 +179,28 @@ def _references(n: int, eps: float) -> tuple[float, float, float]:
     return ref_below, ref_inside, ref_above
 
 
-def _coerce_pc(n: int, lam: float, pc: PcResult | float | None, master_seed: int) -> PcResult:
-    if pc is None:
-        return solve_pc(CubeDim(n), lam, master_seed=master_seed)
+def _p_hat(n: int, pc: PcResult | float) -> float:
+    """The threshold as a float; a solved result must be for dimension n."""
     if isinstance(pc, PcResult):
         if pc.n != n:
             raise ValueError("threshold result is for a different dimension")
-        return pc
-    return PcResult(n, lam, float(pc), 0.0, 0, Estimate(float("nan"), 0.0, 1), True)
+        return pc.p_hat
+    return float(pc)
 
 
-def run_sweep(cfg: SweepConfig, pc: PcResult | float | None = None) -> list[SweepRecord]:
+def run_sweep(cfg: SweepConfig, pc: PcResult | float) -> list[SweepRecord]:
     """Measure flagged observables on a grid of eps = n(p - p_hat) values.
 
     Rows whose density falls outside [0, 1] are emitted skipped.  Replicate
     seeds are shared across rows, so the grid is monotone-coupled.
     """
-    pc = _coerce_pc(cfg.n, cfg.lam, pc, cfg.master_seed)
+    p_hat = _p_hat(cfg.n, pc)
     dim = CubeDim(cfg.n)
     flags = cfg.observables
     records: list[SweepRecord] = []
     for eps in cfg.epsilon_grid:
-        p = pc.p_hat + eps / cfg.n
-        coord = window_coord(p, pc)
+        p = p_hat + eps / cfg.n
+        coord = window_coord(p, cfg.n, p_hat)
         ref_below, ref_inside, ref_above = _references(cfg.n, eps)
         if not 0.0 <= p <= 1.0:
             records.append(SweepRecord(eps, coord.Lambda, p, coord.regime, True, None,
@@ -210,34 +209,16 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float | None = None) -> list[Swee
             continue
 
         cut = None
-        if eps > 0.0 and p > pc.p_hat:
-            cut = n_alpha(pc.p_hat, p, cfg.n, cfg.alpha)
-
-        chi_samples: list[float] = []
-        cmaxes: list[int] = []
-        c2s: list[int] = []
-        thetas: list[float] = []
-        zs: list[float] = []
-        census = np.zeros(cfg.n + 1, dtype=np.int64)
-        for r in range(cfg.replicates):
-            lab = label_components(sample_subgraph(dim, p, SeedSpec(cfg.master_seed, r)))
-            if flags.chi:
-                chi_samples.append(chi_sample(lab))
-            if flags.cmax or flags.c2:
-                big, second = top_two(lab)
-                cmaxes.append(big)
-                c2s.append(second)
-            if (flags.theta or flags.z) and cut is not None:
-                z = count_z_geq(lab, math.ceil(cut))
-                zs.append(float(z))
-                thetas.append(z / dim.volume)
-            if flags.triangle:
-                census += pair_census(lab)
+        if eps > 0.0 and p > p_hat:
+            cut = n_alpha(p_hat, p, cfg.n, cfg.alpha)
+        z_at = math.ceil(cut) if (flags.theta or flags.z) and cut is not None else None
+        st = replicate_stats(dim, p, cfg.master_seed, range(cfg.replicates), chi=flags.chi,
+                             top=flags.cmax or flags.c2, z_at=z_at, census=flags.triangle)
 
         triangle = None
         if flags.triangle:
-            profile = RadialProfile(dim, census / (radial_totals(dim) * cfg.replicates))
-            chi_pt = float(np.mean(chi_samples)) if chi_samples else float("nan")
+            profile = RadialProfile(dim, st.census.sum(axis=0) / (radial_totals(dim) * cfg.replicates))
+            chi_pt = float(np.mean(st.chi)) if flags.chi else float("nan")
             triangle = triangle_diagram_hat(profile, chi_pt, cfg.k1, cfg.k2, p=p)
 
         records.append(SweepRecord(
@@ -246,12 +227,13 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float | None = None) -> list[Swee
             p=p,
             regime=coord.regime,
             skipped=False,
-            chi=Estimate.from_samples(np.array(chi_samples)) if chi_samples else None,
-            cmax_mean=float(np.mean(cmaxes)) if cmaxes else float("nan"),
-            cmax_median=float(np.median(cmaxes)) if cmaxes else float("nan"),
-            c2_mean=float(np.mean(c2s)) if c2s else float("nan"),
-            theta=Estimate.from_samples(np.array(thetas)) if thetas else None,
-            z_geq=Estimate.from_samples(np.array(zs)) if zs else None,
+            chi=Estimate.from_samples(st.chi) if flags.chi else None,
+            cmax_mean=float(np.mean(st.cmax)) if flags.cmax else math.nan,
+            cmax_median=float(np.median(st.cmax)) if flags.cmax else math.nan,
+            c2_mean=float(np.mean(st.c2)) if flags.c2 else math.nan,
+            theta=Estimate.from_samples(st.z_geq / dim.volume)
+            if flags.theta and z_at is not None else None,
+            z_geq=Estimate.from_samples(st.z_geq) if flags.z and z_at is not None else None,
             n_alpha_cut=cut,
             ref_below=ref_below,
             ref_inside=ref_inside,
@@ -262,8 +244,7 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float | None = None) -> list[Swee
 
 
 def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
-                          pc: PcResult | float | None = None,
-                          lam: float = DEFAULT_LAMBDA) -> SprinkleReport:
+                          pc: PcResult | float) -> SprinkleReport:
     """Two-layer merge: base graph at p_minus, independent sprinkle at eps/(2n).
 
     M counts the vertices of the base graph lying in components of size at
@@ -274,9 +255,8 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
         raise ValueError("eps must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    pc = _coerce_pc(n, lam, pc, seed.master_seed)
     dim = CubeDim(n)
-    p = pc.p_hat + eps / n
+    p = _p_hat(n, pc) + eps / n
     if p > 1.0:
         raise ValueError(f"eps pushes p = p_hat + eps/n = {p} above 1")
     q = eps / (2.0 * n)
@@ -299,8 +279,7 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
 
 
 def duality_experiment(n: int, eps: float, replicates: int, master_seed: int,
-                       pc: PcResult | float | None = None,
-                       lam: float = DEFAULT_LAMBDA) -> DualityReport:
+                       pc: PcResult | float) -> DualityReport:
     """Second-largest cluster at p_hat + eps/n vs largest at p_hat - eps/n.
 
     Matched replicate seeds on both sides.  Report-only: the ratio of means
@@ -310,77 +289,46 @@ def duality_experiment(n: int, eps: float, replicates: int, master_seed: int,
         raise ValueError("eps must be positive")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    pc = _coerce_pc(n, lam, pc, master_seed)
     dim = CubeDim(n)
-    p_above = pc.p_hat + eps / n
-    p_below = pc.p_hat - eps / n
+    p_hat = _p_hat(n, pc)
+    p_above = p_hat + eps / n
+    p_below = p_hat - eps / n
     if p_below < 0.0 or p_above > 1.0:
         raise ValueError("eps pushes one side outside [0, 1]")
-    c2_above = []
-    cmax_below = []
-    for r in range(replicates):
-        seed = SeedSpec(master_seed, r)
-        _, second = top_two(label_components(sample_subgraph(dim, p_above, seed)))
-        c2_above.append(second)
-        big, _ = top_two(label_components(sample_subgraph(dim, p_below, seed)))
-        cmax_below.append(big)
+    c2_above = replicate_stats(dim, p_above, master_seed, range(replicates), top=True).c2
+    cmax_below = replicate_stats(dim, p_below, master_seed, range(replicates), top=True).cmax
     ratio = float(np.mean(c2_above) / np.mean(cmax_below))
-    return DualityReport(n, eps, p_above, p_below, tuple(c2_above), tuple(cmax_below), ratio)
-
-
-def _label_edge_subset(v_count: int, edges: list[tuple[int, int]], mask: int) -> list[int]:
-    """Tiny union-find over the edges selected by `mask`; returns parent array."""
-    parent = list(range(v_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, (u, v) in enumerate(edges):
-        if mask >> i & 1:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    return [find(x) for x in range(v_count)]
+    return DualityReport(n, eps, p_above, p_below, tuple(c2_above.tolist()),
+                         tuple(cmax_below.tolist()), ratio)
 
 
 def exact_enumerate(n: int, p: float) -> ExactOracle:
     """Exact observables by iterating every bond configuration (n <= 3).
 
-    Each of the 2^(n * 2^(n-1)) configurations is weighted by its Bernoulli
-    probability; sums are accumulated exactly with math.fsum.
+    Configuration `mask` occupies the m = n 2^(n-1) edges whose flat ids are
+    its set bits and is weighted by its Bernoulli probability; sums are
+    accumulated exactly with math.fsum.  All 2^m configurations are labeled
+    at once as one graph on Q_(n+m), whose vertex mask 2^n + x is vertex x
+    of configuration `mask`: only the first n directions carry edges.
     """
     if n not in (1, 2, 3):
         raise ValueError("exhaustive enumeration is limited to n in {1, 2, 3}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    dim = CubeDim(n)
-    v_count = dim.volume
-    edges = []
-    for d in range(n):
-        for vertex in range(v_count):
-            if not vertex >> d & 1:
-                edges.append((vertex, vertex | 1 << d))
-    m = len(edges)
-    weight_by_count = [p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
-
-    chi_terms: list[float] = []
-    cmax_terms: list[float] = []
-    pmf_terms: list[list[float]] = [[] for _ in range(v_count + 1)]
-    for mask in range(1 << m):
-        roots = _label_edge_subset(v_count, edges, mask)
-        sizes: dict[int, int] = {}
-        for r in roots:
-            sizes[r] = sizes.get(r, 0) + 1
-        w = weight_by_count[mask.bit_count()]
-        ssq = sum(s * s for s in sizes.values())
-        chi_terms.append(w * ssq / v_count)
-        cmax_terms.append(w * max(sizes.values()))
-        pmf_terms[sizes[roots[0]]].append(w)
-
-    pmf = np.array([math.fsum(terms) for terms in pmf_terms])
+    v_count = 1 << n
+    m = n * v_count // 2
+    masks = np.arange(1 << m)
+    occupied = (masks[:, None] >> np.arange(m) & 1).astype(bool)  # (2^m, m), flat id order
+    planes = np.zeros((n + m, 1 << (n + m - 1)), dtype=bool)
+    planes[:n] = occupied.reshape(-1, n, v_count // 2).transpose(1, 0, 2).reshape(n, -1)
+    lab = label_components(OccupiedGraph(CubeDim(n + m), planes, p))
+    # size of each vertex's component, one row per configuration
+    sizes = lab.size_by_root[lab.root_of].reshape(-1, v_count)
+    weight_by_count = np.array([p**k * (1.0 - p) ** (m - k) for k in range(m + 1)])
+    w = weight_by_count[np.bitwise_count(masks)]
+    chi_terms = w * sizes.sum(axis=1) / v_count
+    cmax_terms = w * sizes.max(axis=1)
+    pmf = np.array([math.fsum(w[sizes[:, 0] == s]) for s in range(v_count + 1)])
     return ExactOracle(n, p, math.fsum(chi_terms), math.fsum(cmax_terms), pmf)
 
 
@@ -405,7 +353,6 @@ def regime_summary(records: list[SweepRecord], duality: DualityReport | None = N
         for rec in records:
             if rec.skipped or rec.regime != regime:
                 continue
-            volume = rec.ref_inside ** 1.5  # ref_inside stores V^(2/3)
             if kind == "cmax_below" and not math.isnan(rec.cmax_mean) and math.isfinite(rec.ref_below):
                 ratios.append(rec.cmax_mean / rec.ref_below)
             elif kind == "cmax_inside" and not math.isnan(rec.cmax_mean):
@@ -413,7 +360,8 @@ def regime_summary(records: list[SweepRecord], duality: DualityReport | None = N
             elif kind == "cmax_above" and not math.isnan(rec.cmax_mean) and rec.ref_above > 0:
                 ratios.append(rec.cmax_mean / rec.ref_above)
             elif kind == "chi_above" and rec.chi is not None and rec.epsilon > 0:
-                ratios.append(rec.chi.mean / (4.0 * rec.epsilon**2 * volume))
+                # 4 eps^2 V as 2 eps ref_above, exact since ref_above = 2 eps V
+                ratios.append(rec.chi.mean / (2.0 * rec.epsilon * rec.ref_above))
         if ratios:
             entries.append(SummaryEntry(regime, metric, float(np.mean(ratios)), len(ratios)))
     return RegimeSummary(

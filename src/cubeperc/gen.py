@@ -25,7 +25,6 @@ __all__ = [
     "SeedSpec",
     "EdgeId",
     "OccupiedGraph",
-    "edge_uniforms",
     "sample_subgraph",
     "coupled_sample",
     "union_graphs",
@@ -44,6 +43,8 @@ _BLOCK = 1 << 15
 _BLOCK_STRIDES = np.arange(_BLOCK, dtype=np.uint64)
 _BLOCK_STRIDES *= np.uint64(_GOLDEN)  # in place: no second 256 KiB array at import
 _BLOCK_STRIDES.setflags(write=False)
+# allocated once: per-sample buffers went back to the OS and faulted in again
+_HASH_BUFFERS = np.empty((2, _BLOCK), dtype=np.uint64)
 
 
 def _mix64_scalar(x: int) -> int:
@@ -100,13 +101,12 @@ def _expand_plane_index(idx: np.ndarray, direction: int) -> np.ndarray:
 def _edge_hashes(dim: CubeDim, seed: SeedSpec):
     """Yield (lo, hi, h): h holds the 64-bit hashes of flat edge ids lo..hi-1.
 
-    Blocks of _BLOCK edges are mixed in place in one reused buffer (SplitMix64
-    of id * golden + stream key, wrapping), so consume h before the next block.
+    Blocks of _BLOCK edges are mixed in place in _HASH_BUFFERS (SplitMix64 of id
+    * golden + stream key, wrapping): consume h before the next block or call.
     """
     key = seed.stream_key()
     total = dim.edge_count
-    h = np.empty(min(_BLOCK, total), dtype=np.uint64)
-    t = np.empty_like(h)
+    h, t = _HASH_BUFFERS
     for lo in range(0, total, _BLOCK):
         hi = min(lo + _BLOCK, total)
         x, y = h[:hi - lo], t[:hi - lo]
@@ -118,14 +118,6 @@ def _edge_hashes(dim: CubeDim, seed: SeedSpec):
         np.right_shift(x, np.uint64(31), out=y)
         x ^= y
         yield lo, hi, x
-
-
-def edge_uniforms(dim: CubeDim, seed: SeedSpec) -> np.ndarray:
-    """Per-edge uniforms in [0, 1), shape (n, 2^(n-1)), one row per direction."""
-    u = np.empty(dim.edge_count, dtype=np.float64)
-    for lo, hi, h in _edge_hashes(dim, seed):
-        np.multiply(h >> np.uint64(11), 2.0**-53, out=u[lo:hi])
-    return u.reshape(dim.n, -1)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ identity, which uses every vertex of every replicate; its variance is
 taken across replicates only, since cluster sizes within one replicate
 are dependent.  The two-point function and the triangle rest on an exact
 per-replicate census of same-component pairs by distance (`pair_census`).
+The drivers draw their replicates through `replicate_stats` (the two-layer
+sprinkling experiment excepted): replicate r at any density uses the
+uniforms of SeedSpec(master_seed, r), so densities are monotone-coupled.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clusters import ClusterLabeling, count_z_geq
+from .clusters import ClusterLabeling, count_z_geq, label_components, top_two
 from .cube import CubeDim
+from .gen import SeedSpec, sample_subgraph
 
 __all__ = [
     "Estimate",
     "RadialProfile",
+    "ReplicateStats",
     "TriangleReport",
     "ZConcentrationReport",
     "chi_sample",
@@ -32,6 +37,7 @@ __all__ = [
     "n_alpha",
     "theta_alpha_hat",
     "pair_census",
+    "replicate_stats",
     "two_point_profile",
     "two_point_radial_hat",
     "radial_convolution",
@@ -78,6 +84,17 @@ class RadialProfile:
             raise ValueError("profile values must be finite and nonnegative")
         object.__setattr__(self, "values", values)
         self.values.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class ReplicateStats:
+    """Per-replicate statistics in replicate order, None where not asked for."""
+
+    chi: np.ndarray | None
+    cmax: np.ndarray | None
+    c2: np.ndarray | None
+    z_geq: np.ndarray | None
+    census: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -258,12 +275,42 @@ def pair_census(labeling: ClusterLabeling) -> np.ndarray:
     return counts
 
 
-def two_point_profile(dim: CubeDim, censuses: list[np.ndarray]) -> RadialProfile:
-    """Mean over replicates of each pair census divided by the pair totals."""
-    if not censuses:
+def replicate_stats(dim: CubeDim, p: float, master_seed: int, replicates: range, *,
+                    chi: bool = False, top: bool = False, z_at: int | None = None,
+                    census: bool = False) -> ReplicateStats:
+    """Sample, label and reduce the replicates r in `replicates` at density p.
+
+    Replicate r draws the uniforms of SeedSpec(master_seed, r), so consecutive
+    replicate ranges concatenate to their union.  Only the reducers asked for
+    run: `chi_sample` (chi), `top_two` (top: cmax and c2), `count_z_geq` at
+    cutoff `z_at` (z_geq) and `pair_census` (census, one row per replicate).
+    """
+    chis, tops, zs, censuses = [], [], [], []
+    for r in replicates:
+        lab = label_components(sample_subgraph(dim, p, SeedSpec(master_seed, r)))
+        if chi:
+            chis.append(chi_sample(lab))
+        if top:
+            tops.append(top_two(lab))
+        if z_at is not None:
+            zs.append(count_z_geq(lab, z_at))
+        if census:
+            censuses.append(pair_census(lab))
+    pairs = np.array(tops, dtype=np.int64).reshape(-1, 2)
+    return ReplicateStats(
+        chi=np.array(chis, dtype=np.float64) if chi else None,
+        cmax=pairs[:, 0] if top else None,
+        c2=pairs[:, 1] if top else None,
+        z_geq=np.array(zs, dtype=np.int64) if z_at is not None else None,
+        census=np.array(censuses, dtype=np.int64).reshape(-1, dim.n + 1) if census else None,
+    )
+
+
+def two_point_profile(dim: CubeDim, censuses: np.ndarray) -> RadialProfile:
+    """Mean over replicates of each pair census row divided by the pair totals."""
+    if len(censuses) == 0:
         raise ValueError("at least one census required")
-    totals = radial_totals(dim)
-    return RadialProfile(dim, np.vstack([c / totals for c in censuses]).mean(axis=0))
+    return RadialProfile(dim, (np.asarray(censuses) / radial_totals(dim)).mean(axis=0))
 
 
 def two_point_radial_hat(labelings: list[ClusterLabeling]) -> RadialProfile:

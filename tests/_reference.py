@@ -3,7 +3,8 @@
 Deliberately written with different algorithms from the package: labeling
 goes through explicit breadth-first search, convolution through the raw
 vertex double sum, the pair census through every vertex pair of the BFS
-labels, and the small-cube enumeration through the BFS labeler.
+labels, and the small-cube enumeration through the BFS labeler.  The
+float uniforms are the oracle for the sampler's integer threshold test.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from collections import deque
 import numpy as np
 
 from cubeperc.cube import CubeDim
-from cubeperc.gen import OccupiedGraph
+from cubeperc.gen import OccupiedGraph, SeedSpec, _edge_hashes
+
+
+def edge_uniforms(dim: CubeDim, seed: SeedSpec) -> np.ndarray:
+    """Per-edge uniforms (h >> 11) 2^-53 in [0, 1), shape (n, 2^(n-1)), one row per direction."""
+    u = np.empty(dim.edge_count, dtype=np.float64)
+    for lo, hi, h in _edge_hashes(dim, seed):
+        np.multiply(h >> np.uint64(11), 2.0**-53, out=u[lo:hi])
+    return u.reshape(dim.n, -1)
 
 
 def bfs_component_sizes(graph: OccupiedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +95,8 @@ def direct_radial_convolution(n: int, t1: np.ndarray, t2: np.ndarray) -> np.ndar
     return out
 
 
-def enumerate_chi(n: int, p: float) -> float:
-    """Exact susceptibility for tiny cubes by BFS over every edge subset."""
+def enumerate_observables(n: int, p: float) -> tuple[float, float, np.ndarray]:
+    """Exact (chi, E|Cmax|, pmf of |C(0)|) for tiny cubes by BFS over every edge subset."""
     dim = CubeDim(n)
     v_count = dim.volume
     edges = []
@@ -96,7 +105,8 @@ def enumerate_chi(n: int, p: float) -> float:
             if not vertex >> d & 1:
                 edges.append((vertex, vertex | 1 << d))
     m = len(edges)
-    terms = []
+    chi_terms, cmax_terms = [], []
+    pmf_terms: list[list[float]] = [[] for _ in range(v_count + 1)]
     for mask in range(1 << m):
         adjacency: list[list[int]] = [[] for _ in range(v_count)]
         for i, (u, v) in enumerate(edges):
@@ -104,7 +114,7 @@ def enumerate_chi(n: int, p: float) -> float:
                 adjacency[u].append(v)
                 adjacency[v].append(u)
         seen = [False] * v_count
-        ssq = 0
+        sizes = []
         for start in range(v_count):
             if seen[start]:
                 continue
@@ -118,7 +128,11 @@ def enumerate_chi(n: int, p: float) -> float:
                     if not seen[w]:
                         seen[w] = True
                         queue.append(w)
-            ssq += size * size
+            sizes.append(size)
         k = mask.bit_count()
-        terms.append(p**k * (1 - p) ** (m - k) * ssq / v_count)
-    return math.fsum(terms)
+        weight = p**k * (1 - p) ** (m - k)
+        chi_terms.append(weight * sum(s * s for s in sizes) / v_count)
+        cmax_terms.append(weight * max(sizes))
+        pmf_terms[sizes[0]].append(weight)  # BFS from vertex 0 comes first
+    pmf = np.array([math.fsum(terms) for terms in pmf_terms])
+    return math.fsum(chi_terms), math.fsum(cmax_terms), pmf

@@ -88,6 +88,11 @@ def test_config_file_and_precedence(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nope = 3\n")
     assert parse_and_dispatch(["sweep", "--config", str(bad)]) == EXIT_USAGE
+    # --threads is gone, from the command line and from config files
+    bad.write_text("threads = 2\n")
+    assert parse_and_dispatch(["sweep", "--config", str(bad)]) == EXIT_USAGE
+    assert parse_and_dispatch(["sweep", "--config", str(config), "--threads", "2",
+                               "--out", str(tmp_path / "c")]) == EXIT_USAGE
 
 
 def test_sprinkle_and_duality_commands(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cubeperc.critical import (
-    PcResult,
     ReplicateSchedule,
     default_tol_p,
     pc_expansion_reference,
@@ -12,7 +11,6 @@ from cubeperc.critical import (
     window_coord,
 )
 from cubeperc.cube import CubeDim
-from cubeperc.stats import Estimate
 
 
 def test_expansion_reference_values():
@@ -106,13 +104,12 @@ def test_chi_monotone_along_trace_midpoints():
 
 
 def test_window_coord_regimes():
-    pc = PcResult(10, 1.0, 0.1, 0.0, 0, Estimate(10.0, 0.0, 1), True)
-    at = window_coord(0.1, pc)
+    at = window_coord(0.1, 10, 0.1)
     assert at.epsilon == 0.0 and at.regime == "inside"
-    one_over_n = window_coord(0.1 + 1.0 / 10, pc)
+    one_over_n = window_coord(0.1 + 1.0 / 10, 10, 0.1)
     assert one_over_n.epsilon == pytest.approx(1.0)
-    small = window_coord(0.1 - 2.0 ** (-10 / 3) / 10, pc)
+    small = window_coord(0.1 - 2.0 ** (-10 / 3) / 10, 10, 0.1)
     assert small.Lambda == pytest.approx(-1.0)
     assert small.regime == "inside"
-    assert window_coord(0.9, pc).regime == "above"
-    assert window_coord(0.0001, pc).regime == "below"
+    assert window_coord(0.9, 10, 0.1).regime == "above"
+    assert window_coord(0.0001, 10, 0.1).regime == "below"

@@ -19,7 +19,7 @@ from cubeperc.experiments import (
 from cubeperc.gen import SeedSpec, sample_subgraph
 from cubeperc.stats import Estimate
 
-from _reference import enumerate_chi
+from _reference import enumerate_observables
 
 
 def _pc_stub(n, p_hat, lam=1.0):
@@ -38,8 +38,11 @@ def test_exact_enumerate_small_cases():
     # against the independent BFS-based enumerator
     for n in (2, 3):
         for p in (0.1, 0.7):
-            assert exact_enumerate(n, p).chi_exact == pytest.approx(
-                enumerate_chi(n, p), abs=1e-12)
+            oracle = exact_enumerate(n, p)
+            chi, e_cmax, pmf = enumerate_observables(n, p)
+            assert oracle.chi_exact == pytest.approx(chi, abs=1e-12)
+            assert oracle.e_cmax_exact == pytest.approx(e_cmax, abs=1e-12)
+            assert oracle.cluster_size_pmf == pytest.approx(pmf, abs=1e-12)
     full = exact_enumerate(3, 1.0)
     assert full.chi_exact == 8.0 and full.e_cmax_exact == 8.0
     with pytest.raises(ValueError):
@@ -92,6 +95,30 @@ def test_sweep_observable_flags():
     rec = run_sweep(cfg, pc=_pc_stub(5, 0.2))[0]
     assert rec.chi is None and rec.theta is None and rec.z_geq is None
     assert not math.isnan(rec.cmax_mean)
+    # each flag of a pair fills only its own fields, with the values of both
+    full = run_sweep(SweepConfig(n=5, epsilon_grid=(0.2,), replicates=5, master_seed=1), 0.2)[0]
+    for only, filled in (("theta", "theta"), ("z", "z_geq"), ("cmax", "cmax_mean"),
+                         ("c2", "c2_mean")):
+        flags = ObservableFlags(**{k: k == only for k in ("chi", "cmax", "c2", "theta", "z")})
+        rec = run_sweep(SweepConfig(n=5, epsilon_grid=(0.2,), replicates=5, master_seed=1,
+                                    observables=flags), 0.2)[0]
+        assert getattr(rec, filled) == getattr(full, filled)
+        assert (rec.theta is None) == (only != "theta")
+        assert (rec.z_geq is None) == (only != "z")
+        assert math.isnan(rec.cmax_mean) == math.isnan(rec.cmax_median) == (only != "cmax")
+        assert math.isnan(rec.c2_mean) == (only != "c2")
+
+
+def test_threshold_as_float_or_result():
+    cfg = SweepConfig(n=6, epsilon_grid=(-0.3, 0.4), replicates=4, master_seed=2)
+    assert run_sweep(cfg, 0.2) == run_sweep(cfg, _pc_stub(6, 0.2))
+    assert duality_experiment(6, 0.3, 3, 1, 0.2) == duality_experiment(6, 0.3, 3, 1,
+                                                                      _pc_stub(6, 0.2))
+    for call in (lambda pc: run_sweep(cfg, pc),
+                 lambda pc: sprinkling_experiment(6, 0.3, 0.5, SeedSpec(0), pc),
+                 lambda pc: duality_experiment(6, 0.3, 3, 1, pc)):
+        with pytest.raises(ValueError, match="different dimension"):
+            call(_pc_stub(7, 0.2))
 
 
 def test_sweep_triangle_observable():
@@ -169,6 +196,15 @@ def test_regime_summary_sections():
     assert any("duality" in line for line in with_dual.lines())
     with pytest.raises(ValueError):
         regime_summary([])
+
+
+def test_regime_summary_uses_exact_volume():
+    for n, eps in ((10, 1.0), (10, 1.3), (7, 2.3)):
+        cfg = SweepConfig(n=n, epsilon_grid=(eps,), replicates=6, master_seed=1)
+        rec = run_sweep(cfg, 1.0 / n)[0]
+        assert rec.regime == "above"
+        [entry] = [e for e in regime_summary([rec]).entries if e.metric == "chi / (4 eps^2 V)"]
+        assert entry.value == rec.chi.mean / (4.0 * eps**2 * 2**n)
 
 
 def test_regime_summary_single_inside_row():

@@ -11,13 +11,14 @@ from cubeperc.gen import (
     OccupiedGraph,
     SeedSpec,
     coupled_sample,
-    edge_uniforms,
     load_occupancy,
     sample_subgraph,
     save_occupancy,
     sprinkle_split,
     union_graphs,
 )
+
+from _reference import edge_uniforms
 
 
 def test_edge_id_canonical_form():

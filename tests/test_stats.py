@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeperc.clusters import label_components
+from cubeperc.clusters import count_z_geq, label_components, top_two
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
 from cubeperc.gen import SeedSpec, coupled_sample, sample_subgraph
@@ -19,6 +19,7 @@ from cubeperc.stats import (
     p_geq_k_hat,
     pair_census,
     radial_convolution,
+    replicate_stats,
     theta_alpha_hat,
     triangle_diagram_hat,
     two_point_radial_hat,
@@ -27,7 +28,7 @@ from cubeperc.stats import (
 
 from _reference import (
     direct_radial_convolution,
-    enumerate_chi,
+    enumerate_observables,
     gray_path,
     path_graph,
     reference_pair_census,
@@ -51,6 +52,29 @@ def test_estimate_from_samples():
         Estimate.from_samples(np.array([]))
 
 
+def test_replicate_stats_matches_hand_loop():
+    dim, p, master, k = CubeDim(9), 0.14, 31, 12
+    labs = _labelings(9, p, 7, master=master)
+    got = replicate_stats(dim, p, master, range(7), chi=True, top=True, z_at=k, census=True)
+    assert got.chi.tolist() == [chi_sample(lab) for lab in labs]
+    assert got.cmax.tolist() == [top_two(lab)[0] for lab in labs]
+    assert got.c2.tolist() == [top_two(lab)[1] for lab in labs]
+    assert got.z_geq.tolist() == [count_z_geq(lab, k) for lab in labs]
+    assert got.census.tolist() == [pair_census(lab).tolist() for lab in labs]
+    # consecutive ranges concatenate to the whole range
+    head = replicate_stats(dim, p, master, range(3), chi=True, top=True, z_at=k, census=True)
+    tail = replicate_stats(dim, p, master, range(3, 7), chi=True, top=True, z_at=k, census=True)
+    for field in ("chi", "cmax", "c2", "z_geq", "census"):
+        joined = np.concatenate([getattr(head, field), getattr(tail, field)])
+        assert joined.tolist() == getattr(got, field).tolist(), field
+    # only the reducers asked for run
+    chi_only = replicate_stats(dim, p, master, range(2), chi=True)
+    assert chi_only.chi.tolist() == got.chi[:2].tolist()
+    assert chi_only.cmax is chi_only.c2 is chi_only.z_geq is chi_only.census is None
+    empty = replicate_stats(dim, p, master, range(0), top=True, census=True)
+    assert empty.cmax.shape == (0,) and empty.census.shape == (0, 10)
+
+
 def test_chi_boundary_exact():
     for n in (2, 8):
         labs0 = _labelings(n, 0.0, 5)
@@ -63,7 +87,7 @@ def test_chi_against_enumeration_oracle():
     # frozen oracle values; 2.5625 at (n=2, p=0.5) checked by hand
     for n in (2, 3):
         for p in (0.1, 0.3, 0.5, 0.7):
-            exact = enumerate_chi(n, p)
+            exact, _, _ = enumerate_observables(n, p)
             if (n, p) == (2, 0.5):
                 assert exact == 2.5625
             est = chi_hat(_labelings(n, p, 800, master=5))
