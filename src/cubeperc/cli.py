@@ -55,6 +55,7 @@ class Option:
     typ: Callable[[str], Any]
     default: Any
     help: str
+    required: bool = False
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -79,13 +80,14 @@ _SOLVER = [
     Option("max-bisections", int, 80, "bisection iteration budget"),
 ]
 _PC = [Option("pc", float, None, "threshold override; skips solving")]
+_N = Option("n", int, None, "cube dimension", required=True)
 
 OPTIONS: dict[str, list[Option]] = {
-    "pc-solve": _COMMON + [Option("n", int, None, "cube dimension")] + _SOLVER,
+    "pc-solve": _COMMON + [_N] + _SOLVER,
     "sweep": _COMMON + _SOLVER + _PC + [
-        Option("n", int, None, "cube dimension"),
+        _N,
         Option("alpha", float, DEFAULT_ALPHA, "percolation-probability exponent"),
-        Option("eps", _float_list, None, "comma-separated epsilon grid"),
+        Option("eps", _float_list, None, "comma-separated epsilon grid", required=True),
         Option("replicates", int, 200, "replicates per grid point"),
         Option("observables", _str_list, ("chi", "cmax", "c2", "theta", "z"),
                "comma-separated subset of chi,cmax,c2,theta,z,triangle"),
@@ -93,18 +95,18 @@ OPTIONS: dict[str, list[Option]] = {
         Option("k2", float, 1.0, "triangle bound constant K2"),
     ],
     "sprinkle": _COMMON + _SOLVER + _PC + [
-        Option("n", int, None, "cube dimension"),
+        _N,
         Option("eps", float, 0.3, "distance above the threshold in window units"),
         Option("alpha", float, DEFAULT_ALPHA, "component-size exponent"),
         Option("seeds", int, 100, "number of independent repetitions"),
     ],
     "duality": _COMMON + _SOLVER + _PC + [
-        Option("n", int, None, "cube dimension"),
+        _N,
         Option("eps", float, 0.3, "mirror distance from the threshold"),
         Option("replicates", int, 100, "matched replicates per side"),
     ],
     "triangle": _COMMON + _SOLVER + _PC + [
-        Option("n", int, None, "cube dimension"),
+        _N,
         Option("p", float, None, "density (overrides eps)"),
         Option("eps", float, 0.0, "density offset from the solved threshold"),
         Option("replicates", int, 50, "replicates for the two-point profile"),
@@ -112,8 +114,8 @@ OPTIONS: dict[str, list[Option]] = {
         Option("k2", float, 1.0, "triangle bound constant K2"),
     ],
     "oracle": _COMMON + [
-        Option("n", int, None, "cube dimension (1..3)"),
-        Option("p", float, None, "bond density"),
+        Option("n", int, None, "cube dimension (1..3)", required=True),
+        Option("p", float, None, "bond density", required=True),
         Option("replicates", int, 2000, "Monte Carlo replicates for the cross-check"),
     ],
     "lemma-check": _COMMON + [
@@ -123,17 +125,6 @@ OPTIONS: dict[str, list[Option]] = {
         Option("paths-instances", int, 100, "path-construction instances per dimension"),
     ],
 }
-
-_REQUIRED = {
-    "pc-solve": ("n",),
-    "sweep": ("n", "eps"),
-    "sprinkle": ("n",),
-    "duality": ("n",),
-    "triangle": ("n",),
-    "oracle": ("n", "p"),
-    "lemma-check": (),
-}
-
 
 class UsageError(Exception):
     pass
@@ -192,16 +183,15 @@ def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
         value = getattr(flags, _key(opt.name))
         if value is not None:
             merged[_key(opt.name)] = value
-    for name in _REQUIRED[subcommand]:
-        if merged[_key(name)] is None:
-            raise UsageError(f"--{name} is required for {subcommand}")
+    for opt in options:
+        if opt.required and merged[_key(opt.name)] is None:
+            raise UsageError(f"--{opt.name} is required for {subcommand}")
     merged["subcommand"] = subcommand
     return merged
 
 
 def _out_dir(cfg: dict[str, Any]) -> Path:
-    out = cfg.get("out") or f"runs/{cfg['subcommand']}"
-    path = Path(out)
+    path = Path(cfg.get("out") or f"runs/{cfg['subcommand']}")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -271,8 +261,11 @@ def _cmd_sweep(cfg: dict[str, Any]) -> int:
     reports.write_csv(out / "sweep.csv", reports.SWEEP_HEADER, reports.sweep_rows(records))
     reports.write_csv(out / "regime_summary.csv", reports.SUMMARY_HEADER,
                       reports.summary_rows(summary))
-    reports.write_manifest(out / "manifest.txt",
-                           _manifest(cfg, started, ["sweep.csv", "regime_summary.csv"]))
+    outputs = ["sweep.csv", "regime_summary.csv"] + ["triangle.csv"] * flags.triangle
+    if flags.triangle:
+        reports.write_csv(out / "triangle.csv", reports.TRIANGLE_HEADER,
+                          reports.triangle_rows([r.triangle for r in records if r.triangle]))
+    reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, outputs))
     for line in summary.lines():
         print(line)
     return EXIT_OK
@@ -320,7 +313,7 @@ def _cmd_triangle(cfg: dict[str, Any]) -> int:
     reports.write_csv(out / "two_point.csv", reports.PROFILE_HEADER,
                       reports.profile_rows(profile))
     reports.write_csv(out / "triangle.csv", reports.TRIANGLE_HEADER,
-                      reports.triangle_rows(report))
+                      reports.triangle_rows([report]))
     reports.write_manifest(out / "manifest.txt",
                            _manifest(cfg, started, ["two_point.csv", "triangle.csv"]))
     print(f"p={p:.6f} nabla_diag={report.nabla_diag:.6f} "

@@ -4,7 +4,8 @@ Labeling is the hook-and-jump method of Shiloach and Vishkin (J. Algorithms
 3 (1982) 57-67), vectorized over all occupied edges at once.  Each round
 drops the edges whose endpoints already share a root, hooks the larger root
 of every remaining edge onto the smallest root it meets, and then jumps
-pointers until every vertex points at a root.  A parent never exceeds its
+pointers until the endpoints of those edges point at roots; only the first
+round and a last pass jump every vertex.  A parent never exceeds its
 vertex, so each component ends up represented by its smallest vertex, the
 same canonical label whatever order the edges come in.
 """
@@ -48,28 +49,58 @@ class ClusterLabeling:
         self.sizes_desc.setflags(write=False)
 
 
-def label_components(graph: OccupiedGraph) -> ClusterLabeling:
-    """Hook-and-jump labeling over all occupied edges of one configuration."""
-    v_count = graph.dim.volume
-    ends = [graph.edge_endpoints(d) for d in range(graph.dim.n)]
-    u = np.concatenate([e[0] for e in ends])
-    v = np.concatenate([e[1] for e in ends])
-    parent = np.arange(v_count)
-    while u.size:
-        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-        # each edge now joins two roots; drop those already in one tree
-        u, v = parent[u], parent[v]
-        live = u != v
-        u, v = u[live], v[live]
-    root_of = parent.astype(np.int32)
-    size_by_root = np.bincount(root_of, minlength=v_count).astype(np.int64)
-    sizes = size_by_root[size_by_root > 0]
-    sizes_desc = np.sort(sizes)[::-1].copy()
+def _jump_all(parent: np.ndarray) -> np.ndarray:
+    """Jump every vertex to its root; take writes into two ping-pong buffers."""
+    buf = np.empty_like(parent)
+    # mode="clip": with out= and the default mode="raise", take buffers a copy
+    while not np.array_equal(np.take(parent, parent, out=buf, mode="clip"), parent):
+        parent, buf = buf, parent
+    return buf
+
+
+def label_components(graph: OccupiedGraph, start: ClusterLabeling | None = None) -> ClusterLabeling:
+    """Hook-and-jump labeling over all occupied edges of one configuration.
+
+    `start`, the labeling of a subgraph of `graph`, stands in for the first
+    round: its roots are the initial parents.  The result is the same.
+    """
+    if start is not None and start.dim != graph.dim:
+        raise ValueError("start labeling is for a different dimension")
+    shift = graph.dim.n - 1
+    # flat edge id -> direction d = id >> (n-1) and plane index i; the lower
+    # endpoint inserts a zero bit at d into i: lo = i + (i & -(1 << d))
+    lo = np.flatnonzero(graph.planes)
+    hi = lo >> shift
+    np.left_shift(1, hi, out=hi)
+    lo &= (1 << shift) - 1
+    lo += lo & -hi
+    hi += lo
+    if start is None:
+        parent = np.arange(graph.dim.volume)
+        np.minimum.at(parent, hi, lo)
+        parent = _jump_all(parent)
+    else:
+        parent = start.root_of.astype(np.intp)
+    while True:
+        # every endpoint in lo and hi points at its root here
+        a, b = parent[lo], parent[hi]
+        live = np.flatnonzero(a != b)  # indexing by a boolean mask compresses slower
+        if not live.size:
+            break
+        a, b = a[live], b[live]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        np.minimum.at(parent, hi, lo)
+        # a hooked root points at another live endpoint, so pointer doubling
+        # over the live endpoints alone takes each of them to its root
+        s = np.concatenate((lo, hi))
+        ps = parent[s]
+        while not np.array_equal(pps := parent[ps], ps):
+            parent[s] = ps = pps
+    # a vertex off the live edges can sit a few hooks below its root
+    root_of = _jump_all(parent).astype(np.int32)
+    size_by_root = np.bincount(root_of, minlength=graph.dim.volume)
+    by_size = np.bincount(size_by_root)  # entry 0 counts the non-root vertices
+    sizes_desc = np.repeat(np.arange(by_size.size)[:0:-1], by_size[:0:-1])
     return ClusterLabeling(graph.dim, root_of, size_by_root, sizes_desc)
 
 

@@ -156,14 +156,13 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
                     tuple(trace))
 
 
-def window_coord(p: float, n: int, p_hat: float,
-                 lambda0: float = DEFAULT_WINDOW_LAMBDA0) -> WindowCoord:
-    """Classify a density relative to the scaling window around the threshold p_hat."""
+def window_coord(p: float, n: int, p_hat: float) -> WindowCoord:
+    """Classify a density against the window |Lambda| <= DEFAULT_WINDOW_LAMBDA0 around p_hat."""
     eps = n * (p - p_hat)
     window_scaled = eps * 2.0 ** (n / 3.0)
-    if window_scaled < -lambda0:
+    if window_scaled < -DEFAULT_WINDOW_LAMBDA0:
         regime = "below"
-    elif window_scaled > lambda0:
+    elif window_scaled > DEFAULT_WINDOW_LAMBDA0:
         regime = "above"
     else:
         regime = "inside"

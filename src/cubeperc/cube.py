@@ -22,7 +22,6 @@ __all__ = [
     "VertexSet",
     "PathList",
     "hamming_distance",
-    "popcount",
     "ball_volume_exact",
     "hamming_ball",
     "tail_sum_exact",
@@ -49,11 +48,6 @@ class CubeDim:
     @property
     def edge_count(self) -> int:
         return self.n << (self.n - 1)
-
-
-def popcount(values: np.ndarray) -> np.ndarray:
-    """Elementwise number of set bits of nonnegative integers."""
-    return np.bitwise_count(values)
 
 
 def hamming_distance(u: int, v: int) -> int:
@@ -275,7 +269,7 @@ def disjoint_short_paths(dim: CubeDim, s: VertexSet, t: VertexSet, delta: int) -
     while candidates.any():
         v = int(candidates.argmax())
         kept.append(v)
-        candidates &= popcount(all_v ^ v) > 2 * delta
+        candidates &= np.bitwise_count(all_v ^ v) > 2 * delta
 
     # One BFS forest serves every kept vertex: each path stays within delta
     # of its own head, and heads are more than 2*delta apart, so path vertex

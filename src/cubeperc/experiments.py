@@ -251,27 +251,22 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
     least 2^(alpha*n/3); the report compares the union's largest cluster
     against M/3, the merge target.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     dim = CubeDim(n)
     p = _p_hat(n, pc) + eps / n
     if p > 1.0:
         raise ValueError(f"eps pushes p = p_hat + eps/n = {p} above 1")
-    q = eps / (2.0 * n)
-    if q > p:
-        raise ValueError("sprinkling layer density exceeds the total density")
-    p_minus = sprinkle_split(n, p, eps)
+    p_minus = sprinkle_split(n, p, eps)  # checks eps > 0 and p >= eps/(2n)
 
     base = sample_subgraph(dim, p_minus, seed)
-    sprinkle = sample_subgraph(dim, q, SeedSpec(seed.master_seed ^ SPRINKLE_SALT,
-                                                seed.replicate_index))
+    sprinkle_seed = SeedSpec(seed.master_seed ^ SPRINKLE_SALT, seed.replicate_index)
+    sprinkle = sample_subgraph(dim, eps / (2.0 * n), sprinkle_seed)
     lab_before = label_components(base)
     threshold = math.ceil(2.0 ** (alpha * n / 3.0))
     m_vertices = count_z_geq(lab_before, threshold)
     cmax_before, _ = top_two(lab_before)
-    lab_after = label_components(union_graphs(base, sprinkle))
+    lab_after = label_components(union_graphs(base, sprinkle), lab_before)
     cmax_after, c2_after = top_two(lab_after)
     merged = cmax_after / m_vertices if m_vertices > 0 else float("nan")
     return SprinkleReport(n, eps, alpha, p, p_minus, m_vertices,

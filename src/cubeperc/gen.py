@@ -92,12 +92,6 @@ class EdgeId:
         return d * (1 << (dim.n - 1)) + plane_idx
 
 
-def _expand_plane_index(idx: np.ndarray, direction: int) -> np.ndarray:
-    """Plane index -> canonical vertex (insert a zero bit at `direction`)."""
-    d = direction
-    return ((idx >> d) << (d + 1)) | (idx & ((1 << d) - 1))
-
-
 def _edge_hashes(dim: CubeDim, seed: SeedSpec):
     """Yield (lo, hi, h): h holds the 64-bit hashes of flat edge ids lo..hi-1.
 
@@ -141,12 +135,6 @@ class OccupiedGraph:
 
     def occupied_count(self) -> int:
         return int(self.planes.sum())
-
-    def edge_endpoints(self, direction: int) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (u, v) of the occupied edges along one direction."""
-        idx = np.flatnonzero(self.planes[direction])
-        u = _expand_plane_index(idx, direction)
-        return u, u | (1 << direction)
 
 
 def sample_subgraph(dim: CubeDim, p: float, seed: SeedSpec) -> OccupiedGraph:

@@ -128,8 +128,8 @@ SPRINKLE_HEADER = ["replicate", "n", "epsilon", "alpha", "p", "p_minus",
                    "M", "cmax_before", "cmax_after", "c2_after", "merged_fraction"]
 
 
-def sprinkle_rows(reports: list[SprinkleReport], first_replicate: int = 0) -> list[list[Any]]:
-    return [[first_replicate + i, r.n, r.epsilon, r.alpha, r.p, r.p_minus,
+def sprinkle_rows(reports: list[SprinkleReport]) -> list[list[Any]]:
+    return [[i, r.n, r.epsilon, r.alpha, r.p, r.p_minus,
              r.M, r.cmax_before, r.cmax_after, r.c2_after, r.merged_fraction]
             for i, r in enumerate(reports)]
 
@@ -152,9 +152,9 @@ def profile_rows(profile: RadialProfile) -> list[list[Any]]:
 TRIANGLE_HEADER = ["p", "nabla_diag", "nabla_offdiag", "a0", "k1", "k2", "chi_used"]
 
 
-def triangle_rows(report: TriangleReport) -> list[list[Any]]:
-    return [[report.p, report.nabla_diag, report.nabla_offdiag, report.a0,
-             report.k1, report.k2, report.chi_used]]
+def triangle_rows(reports: list[TriangleReport]) -> list[list[Any]]:
+    return [[r.p, r.nabla_diag, r.nabla_offdiag, r.a0, r.k1, r.k2, r.chi_used]
+            for r in reports]
 
 
 SUITE_HEADER = ["suite", "instances", "violations", "first_failure"]

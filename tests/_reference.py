@@ -3,8 +3,9 @@
 Deliberately written with different algorithms from the package: labeling
 goes through explicit breadth-first search, convolution through the raw
 vertex double sum, the pair census through every vertex pair of the BFS
-labels, and the small-cube enumeration through the BFS labeler.  The
-float uniforms are the oracle for the sampler's integer threshold test.
+labels, and the small-cube enumeration through the BFS labeler, which
+reads the occupied edges one direction at a time.  The float uniforms are
+the oracle for the sampler's integer threshold test.
 """
 
 from __future__ import annotations
@@ -26,13 +27,21 @@ def edge_uniforms(dim: CubeDim, seed: SeedSpec) -> np.ndarray:
     return u.reshape(dim.n, -1)
 
 
+def edge_endpoints(graph: OccupiedGraph, direction: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (u, v) of the occupied edges along one direction."""
+    d = direction
+    idx = np.flatnonzero(graph.planes[d])
+    u = ((idx >> d) << (d + 1)) | (idx & ((1 << d) - 1))  # insert a zero bit at d
+    return u, u | (1 << d)
+
+
 def bfs_component_sizes(graph: OccupiedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(root_label_per_vertex, sizes_desc) via breadth-first search."""
     n = graph.dim.n
     v_count = graph.dim.volume
     adjacency: list[list[int]] = [[] for _ in range(v_count)]
     for d in range(n):
-        us, vs = graph.edge_endpoints(d)
+        us, vs = edge_endpoints(graph, d)
         for u, v in zip(us.tolist(), vs.tolist()):
             adjacency[u].append(v)
             adjacency[v].append(u)

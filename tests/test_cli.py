@@ -69,6 +69,25 @@ def test_sweep_row_count_and_byte_identical_rerun(tmp_path):
     assert (out / "regime_summary.csv").read_bytes() == first_summary
 
 
+def test_sweep_writes_triangle_when_asked(tmp_path):
+    base = ["sweep", "--n", "6", "--eps", "-0.3,0,0.3,9", "--replicates", "8",
+            "--pc", "0.2", "--seed", "5"]
+    plain, tri = tmp_path / "plain", tmp_path / "tri"
+    assert parse_and_dispatch(base + ["--out", str(plain)]) == EXIT_OK
+    assert not (plain / "triangle.csv").exists()
+    assert parse_and_dispatch(base + ["--observables", "chi,cmax,c2,theta,z,triangle",
+                                      "--out", str(tri)]) == EXIT_OK
+    for name in ("sweep.csv", "regime_summary.csv"):
+        assert (tri / name).read_bytes() == (plain / name).read_bytes()
+    rows = _read_csv(tri / "triangle.csv")
+    assert rows[0] == ["p", "nabla_diag", "nabla_offdiag", "a0", "k1", "k2", "chi_used"]
+    # eps = 9 puts p above 1, so only three grid points are evaluated
+    assert [float(r[0]) for r in rows[1:]] == [0.2 + eps / 6 for eps in (-0.3, 0.0, 0.3)]
+    assert all(float(r[1]) >= 1.0 for r in rows[1:])
+    assert "outputs = sweep.csv,regime_summary.csv,triangle.csv" in \
+        (tri / "manifest.txt").read_text()
+
+
 def test_config_file_and_precedence(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("n = 6\neps = -0.3,0,0.3\nreplicates = 10\npc = 0.2\nseed = 5\n")

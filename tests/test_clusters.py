@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,11 @@ from cubeperc.clusters import (
     label_components,
     top_two,
 )
+from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
-from cubeperc.gen import OccupiedGraph, SeedSpec, coupled_sample, sample_subgraph
+from cubeperc.gen import OccupiedGraph, SeedSpec, coupled_sample, sample_subgraph, union_graphs
 
-from _reference import bfs_component_sizes, gray_path, path_graph
+from _reference import bfs_component_sizes, edge_endpoints, gray_path, path_graph
 
 
 def _graph_from_planes(dim, plane_bits):
@@ -55,7 +58,7 @@ def test_adjacent_occupied_share_representative():
     g = sample_subgraph(dim, 0.3, SeedSpec(21, 0))
     lab = label_components(g)
     for d in range(dim.n):
-        us, vs = g.edge_endpoints(d)
+        us, vs = edge_endpoints(g, d)
         assert (lab.root_of[us] == lab.root_of[vs]).all()
 
 
@@ -88,6 +91,60 @@ def test_fixed_cases_agree_with_bfs_reference(case):
     assert np.array_equal(lab.root_of, ref_label)
     assert lab.sizes_desc.tolist() == ref_sizes.tolist()
     assert int(lab.size_by_root.sum()) == dim.volume
+
+
+@given(n=st.integers(1, 10), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
+       rep=st.integers(0, 1000))
+@settings(deadline=None, max_examples=60)
+def test_warm_start_matches_cold_and_bfs_reference(n, p, q, rep):
+    dim = CubeDim(n)
+    base = sample_subgraph(dim, p, SeedSpec(271, rep))
+    union = union_graphs(base, sample_subgraph(dim, q, SeedSpec(828, rep)))
+    warm = label_components(union, start=label_components(base))
+    cold = label_components(union)
+    ref_label, ref_sizes = bfs_component_sizes(union)
+    for lab in (warm, cold):
+        assert np.array_equal(lab.root_of, ref_label)
+        assert lab.sizes_desc.tolist() == ref_sizes.tolist()
+        assert (lab.root_of.dtype, lab.size_by_root.dtype, lab.sizes_desc.dtype) == \
+            (np.int32, np.int64, np.int64)
+    assert np.array_equal(warm.size_by_root, cold.size_by_root)
+
+
+def test_warm_start_of_another_dimension_is_rejected():
+    start = label_components(sample_subgraph(CubeDim(5), 0.3, SeedSpec(1)))
+    with pytest.raises(ValueError):
+        label_components(sample_subgraph(CubeDim(6), 0.3, SeedSpec(1)), start=start)
+
+
+@pytest.mark.parametrize("n", [13, 16])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_hamiltonian_path_is_one_component(n, mirrored):
+    # reversing the vertex list of a path leaves its edges as they are, so the
+    # second case walks the mirror image x -> x ^ (2^n - 1), from the top corner down
+    path = gray_path(n)
+    if mirrored:
+        path = [x ^ ((1 << n) - 1) for x in path]
+    lab = label_components(path_graph(CubeDim(n), path))
+    assert not lab.root_of.any()
+    assert lab.sizes_desc.tolist() == [1 << n]
+    assert int(lab.size_by_root[0]) == 1 << n
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.45, 1.3])
+def test_label_memory_is_bounded_per_vertex(eps):
+    n = 16
+    dim = CubeDim(n)
+    g = sample_subgraph(dim, pc_expansion_reference(n) + eps / n, SeedSpec(2026, 0))
+    expected = label_components(g)
+    tracemalloc.start()
+    try:
+        lab = label_components(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(lab.root_of, expected.root_of)
+    assert peak <= 80 * dim.volume, f"peak {peak / dim.volume:.1f} B per vertex"
 
 
 def test_double_counting_identity():
