@@ -18,7 +18,6 @@ from .gen import (  # noqa: F401
     EdgeId,
     OccupiedGraph,
     SeedSpec,
-    coupled_sample,
     load_occupancy,
     sample_subgraph,
     save_occupancy,
@@ -36,14 +35,11 @@ from .stats import (  # noqa: F401
     Estimate,
     RadialProfile,
     TriangleReport,
-    chi_hat,
     n_alpha,
-    p_geq_k_hat,
     radial_convolution,
     replicate_stats,
-    theta_alpha_hat,
     triangle_diagram_hat,
-    two_point_radial_hat,
+    two_point_profile,
     z_concentration_check,
 )
 from .critical import (  # noqa: F401

@@ -29,6 +29,8 @@ __all__ = [
 
 DEFAULT_LAMBDA = 1.0
 DEFAULT_WINDOW_LAMBDA0 = 10.0
+# a midpoint is resolved once its 95% normal interval excludes the target
+CONFIDENCE_Z = 1.96
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class ReplicateSchedule:
 
     initial: int = 64
     cap: int = 8192
-    confidence_z: float = 1.96
     max_bisections: int = 80
 
     def __post_init__(self) -> None:
@@ -94,7 +95,7 @@ def _evaluate_midpoint(dim: CubeDim, p: float, target: float,
         more = replicate_stats(dim, p, master_seed, range(samples.size, level), chi=True)
         samples = np.concatenate([samples, more.chi])
         est = Estimate.from_samples(samples)
-        if abs(est.mean - target) > schedule.confidence_z * est.std_error:
+        if abs(est.mean - target) > CONFIDENCE_Z * est.std_error:
             return est, True
         if level >= schedule.cap:
             return est, False

@@ -19,12 +19,11 @@ from .cube import CubeDim
 from .gen import OccupiedGraph, SeedSpec, sample_subgraph, sprinkle_split, union_graphs
 from .stats import (
     Estimate,
-    RadialProfile,
     TriangleReport,
     n_alpha,
-    radial_totals,
     replicate_stats,
     triangle_diagram_hat,
+    two_point_profile,
 )
 
 __all__ = [
@@ -217,9 +216,9 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float) -> list[SweepRecord]:
 
         triangle = None
         if flags.triangle:
-            profile = RadialProfile(dim, st.census.sum(axis=0) / (radial_totals(dim) * cfg.replicates))
             chi_pt = float(np.mean(st.chi)) if flags.chi else float("nan")
-            triangle = triangle_diagram_hat(profile, chi_pt, cfg.k1, cfg.k2, p=p)
+            triangle = triangle_diagram_hat(two_point_profile(dim, st.census), chi_pt,
+                                            cfg.k1, cfg.k2, p=p)
 
         records.append(SweepRecord(
             epsilon=eps,

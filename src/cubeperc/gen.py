@@ -26,7 +26,6 @@ __all__ = [
     "EdgeId",
     "OccupiedGraph",
     "sample_subgraph",
-    "coupled_sample",
     "union_graphs",
     "sprinkle_split",
     "save_occupancy",
@@ -138,30 +137,22 @@ class OccupiedGraph:
 
 
 def sample_subgraph(dim: CubeDim, p: float, seed: SeedSpec) -> OccupiedGraph:
-    """Sample each canonical edge independently with probability p."""
-    return coupled_sample(dim, [p], seed)[0]
+    """Sample each canonical edge independently with probability p.
 
-
-def coupled_sample(dim: CubeDim, p_list: list[float], seed: SeedSpec) -> list[OccupiedGraph]:
-    """Monotone-coupled samples: one uniform per edge, thresholded at each p.
-
-    Occupancy is nested along the (ascending) p list, so any cluster at a
-    smaller p is contained in the corresponding cluster at a larger p.
+    An edge's uniform depends only on the seed and its id, so samples of one
+    SeedSpec are nested in p: a cluster at p lies inside its cluster at any
+    larger p.
     """
-    if any(b < a for a, b in zip(p_list, p_list[1:])):
-        raise ValueError("p_list must be ascending")
-    for p in p_list:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
-    # u < p for u = (h >> 11) * 2^-53 is h < ceil(p * 2^53) << 11, tested on
-    # the integer hash; at p = 1 that shift overflows and every edge is kept
-    thresholds = [np.uint64(math.ceil(p * 2.0**53) << 11) if p < 1.0 else None for p in p_list]
-    planes = [np.ones(dim.edge_count, dtype=bool) for _ in p_list]
-    for lo, hi, h in _edge_hashes(dim, seed):
-        for out, thr in zip(planes, thresholds):
-            if thr is not None:
-                np.less(h, thr, out=out[lo:hi])
-    return [OccupiedGraph(dim, out.reshape(dim.n, -1), p, seed) for out, p in zip(planes, p_list)]
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    planes = np.ones(dim.edge_count, dtype=bool)
+    if p < 1.0:
+        # u < p for u = (h >> 11) * 2^-53 is h < ceil(p * 2^53) << 11, tested on
+        # the integer hash; at p = 1 that shift overflows and every edge is kept
+        threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+        for lo, hi, h in _edge_hashes(dim, seed):
+            np.less(h, threshold, out=planes[lo:hi])
+    return OccupiedGraph(dim, planes.reshape(dim.n, -1), p, seed)
 
 
 def union_graphs(a: OccupiedGraph, b: OccupiedGraph) -> OccupiedGraph:

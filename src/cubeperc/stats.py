@@ -32,14 +32,10 @@ __all__ = [
     "TriangleReport",
     "ZConcentrationReport",
     "chi_sample",
-    "chi_hat",
-    "p_geq_k_hat",
     "n_alpha",
-    "theta_alpha_hat",
     "pair_census",
     "replicate_stats",
     "two_point_profile",
-    "two_point_radial_hat",
     "radial_convolution",
     "triangle_diagram_hat",
     "z_concentration_check",
@@ -123,32 +119,10 @@ class ZConcentrationReport:
     replicates: int
 
 
-def _check_labelings(labelings: list[ClusterLabeling]) -> CubeDim:
-    if not labelings:
-        raise ValueError("at least one labeling required")
-    dim = labelings[0].dim
-    if any(lab.dim != dim for lab in labelings):
-        raise ValueError("labelings must share one dimension")
-    return dim
-
-
 def chi_sample(labeling: ClusterLabeling) -> float:
     """Single-replicate susceptibility statistic: sum of squared sizes over 2^n."""
     sizes = labeling.sizes_desc
     return float(int((sizes * sizes).sum()) / labeling.dim.volume)
-
-
-def chi_hat(labelings: list[ClusterLabeling]) -> Estimate:
-    """Expected cluster size of a fixed vertex, averaged across replicates."""
-    _check_labelings(labelings)
-    return Estimate.from_samples(np.array([chi_sample(lab) for lab in labelings]))
-
-
-def p_geq_k_hat(labelings: list[ClusterLabeling], k: int) -> Estimate:
-    """Probability that a vertex's component has at least k members."""
-    dim = _check_labelings(labelings)
-    fractions = np.array([count_z_geq(lab, k) / dim.volume for lab in labelings])
-    return Estimate.from_samples(fractions)
 
 
 def n_alpha(p_c: float, p: float, n: int, alpha: float) -> float:
@@ -159,13 +133,6 @@ def n_alpha(p_c: float, p: float, n: int, alpha: float) -> float:
     if eps <= 0.0:
         raise ValueError("cutoff is defined only above the threshold (eps > 0)")
     return eps ** (alpha - 2.0) * 2.0 ** (n * alpha / 3.0)
-
-
-def theta_alpha_hat(labelings: list[ClusterLabeling], n_alpha_value: float) -> Estimate:
-    """Finite-graph percolation probability: P(component size >= cutoff)."""
-    if n_alpha_value < 1.0:
-        raise ValueError("cutoff must be at least 1")
-    return p_geq_k_hat(labelings, math.ceil(n_alpha_value))
 
 
 # The direct census XORs at most this many vertex pairs at a time.
@@ -307,16 +274,10 @@ def replicate_stats(dim: CubeDim, p: float, master_seed: int, replicates: range,
 
 
 def two_point_profile(dim: CubeDim, censuses: np.ndarray) -> RadialProfile:
-    """Mean over replicates of each pair census row divided by the pair totals."""
+    """Connection probability by distance k: the R census rows summed, over R 2^n C(n, k)."""
     if len(censuses) == 0:
         raise ValueError("at least one census required")
-    return RadialProfile(dim, (np.asarray(censuses) / radial_totals(dim)).mean(axis=0))
-
-
-def two_point_radial_hat(labelings: list[ClusterLabeling]) -> RadialProfile:
-    """Connection probability by distance: the two-point profile of each replicate's census."""
-    dim = _check_labelings(labelings)
-    return two_point_profile(dim, [pair_census(lab) for lab in labelings])
+    return RadialProfile(dim, np.sum(censuses, axis=0) / (radial_totals(dim) * len(censuses)))
 
 
 @lru_cache(maxsize=None)
@@ -381,17 +342,19 @@ def triangle_diagram_hat(profile: RadialProfile, chi: float, k1: float = 1.0,
     )
 
 
-def z_concentration_check(labelings: list[ClusterLabeling], n_alpha_value: float,
+def z_concentration_check(dim: CubeDim, z_geq: np.ndarray, n_alpha_value: float,
                           eta1: float) -> ZConcentrationReport:
     """Frequency of replicates whose large-component count strays from the mean.
 
-    Counts deviations strictly exceeding 2^(n(1-eta1)) * theta_hat, so a
-    degenerate ensemble (all replicates identical) reports frequency zero.
-    Report-only: no pass/fail semantics attached.
+    `z_geq` holds one count per replicate at cutoff ceil(n_alpha_value), as
+    `replicate_stats` returns it.  Counts deviations strictly exceeding
+    2^(n(1-eta1)) * theta_hat, so a degenerate ensemble (all replicates
+    identical) reports frequency zero.  Report-only: no pass/fail semantics
+    attached.
     """
-    dim = _check_labelings(labelings)
-    k = math.ceil(n_alpha_value)
-    zs = np.array([count_z_geq(lab, k) for lab in labelings], dtype=np.float64)
+    if len(z_geq) == 0:
+        raise ValueError("at least one replicate required")
+    zs = np.asarray(z_geq, dtype=np.float64)
     mean_z = float(zs.mean())
     theta_hat = mean_z / dim.volume
     threshold = dim.volume ** (1.0 - eta1) * theta_hat
@@ -403,5 +366,5 @@ def z_concentration_check(labelings: list[ClusterLabeling], n_alpha_value: float
         theta_hat=theta_hat,
         threshold=threshold,
         exceed_frequency=exceed,
-        replicates=len(labelings),
+        replicates=len(zs),
     )

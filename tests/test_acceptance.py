@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from cubeperc.clusters import label_components, top_two
 from cubeperc.critical import DEFAULT_LAMBDA, pc_expansion_reference, solve_pc
 from cubeperc.cube import CubeDim
 from cubeperc.experiments import (
+    ObservableFlags,
     SweepConfig,
     duality_experiment,
     exact_enumerate,
@@ -21,17 +21,14 @@ from cubeperc.experiments import (
     run_sweep,
     sprinkling_experiment,
 )
-from cubeperc.gen import SeedSpec, coupled_sample, sample_subgraph
+from cubeperc.gen import SeedSpec
 from cubeperc.lemmas import run_harper_suite, run_overlap_suite, run_tail_suite
 from cubeperc.stats import (
+    Estimate,
     RadialProfile,
-    chi_hat,
-    chi_sample,
     n_alpha,
     radial_convolution,
-    theta_alpha_hat,
-    triangle_diagram_hat,
-    two_point_radial_hat,
+    replicate_stats,
     z_concentration_check,
 )
 
@@ -39,10 +36,9 @@ from _reference import direct_radial_convolution
 from conftest import ACCEPTANCE_MASTER_SEED, criterion
 
 
-def _labelings(n, p, replicates, master):
-    dim = CubeDim(n)
-    return [label_components(sample_subgraph(dim, p, SeedSpec(master, r)))
-            for r in range(replicates)]
+def _chi(n, p, replicates, master):
+    return Estimate.from_samples(replicate_stats(CubeDim(n), p, master, range(replicates),
+                                                 chi=True).chi)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -53,7 +49,7 @@ def test_criterion_1_oracle_equivalence():
                 oracle = exact_enumerate(n, p)
                 if (n, p) == (2, 0.5):
                     assert oracle.chi_exact == 2.5625
-                est = chi_hat(_labelings(n, p, 2000, master=101))
+                est = _chi(n, p, 2000, master=101)
                 gap = abs(est.mean - oracle.chi_exact)
                 assert gap <= 4 * est.std_error, (n, p, est, oracle.chi_exact)
         assert time.perf_counter() - start < 60
@@ -62,8 +58,8 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_boundary_exactness():
     with criterion(2, "boundary exactness chi(0)=1, chi(1)=2^n"):
         for n in (2, 8, 16):
-            at_zero = chi_hat(_labelings(n, 0.0, 5, master=7))
-            at_one = chi_hat(_labelings(n, 1.0, 5, master=7))
+            at_zero = _chi(n, 0.0, 5, master=7)
+            at_one = _chi(n, 1.0, 5, master=7)
             assert at_zero.mean == 1.0 and at_zero.std_error == 0.0
             assert at_one.mean == float(2**n) and at_one.std_error == 0.0
 
@@ -134,12 +130,8 @@ def test_criterion_6_subcritical_regime(pc16):
         n, eps, replicates = 16, -0.3, 200
         p = pc16.p_hat + eps / n
         bound = 2.0 * (2.0 * n * math.log(2)) / eps**2
-        dim = CubeDim(n)
-        within = 0
-        for r in range(replicates):
-            cmax, _ = top_two(label_components(sample_subgraph(dim, p, SeedSpec(601, r))))
-            if cmax <= bound:
-                within += 1
+        cmax = replicate_stats(CubeDim(n), p, 601, range(replicates), top=True).cmax
+        within = int((cmax <= bound).sum())
         assert within >= 0.95 * replicates, (within, replicates, bound)
         assert time.perf_counter() - start < 600
 
@@ -149,10 +141,8 @@ def test_criterion_7_window_scaling(pc12, pc14, pc16):
         start = time.perf_counter()
         ratios = {}
         for pc in (pc12, pc14, pc16):
-            dim = CubeDim(pc.n)
-            cmaxes = [top_two(label_components(
-                sample_subgraph(dim, pc.p_hat, SeedSpec(700 + pc.n, r))))[0]
-                for r in range(100)]
+            cmaxes = replicate_stats(CubeDim(pc.n), pc.p_hat, 700 + pc.n, range(100),
+                                     top=True).cmax
             ratios[pc.n] = float(np.median(cmaxes)) / 2.0 ** (2 * pc.n / 3)
             print(f"  n={pc.n}: median|Cmax|/V^(2/3) = {ratios[pc.n]:.4f}")
             assert 0.05 <= ratios[pc.n] <= 20.0, ratios
@@ -190,10 +180,11 @@ def test_criterion_9_monotone_coupling():
         checked = 0
         for trial in range(1000):
             ps = np.sort(rng.uniform(0.0, 0.25, 3))
-            graphs = coupled_sample(dim, ps.tolist(), SeedSpec(902, trial))
-            labs = [label_components(g) for g in graphs]
-            cmaxes = [top_two(lab)[0] for lab in labs]
-            chis = [chi_sample(lab) for lab in labs]
+            # replicate `trial` at each p: one SeedSpec(902, trial), nested samples
+            st = [replicate_stats(dim, p, 902, range(trial, trial + 1), chi=True, top=True)
+                  for p in ps.tolist()]
+            cmaxes = [int(x.cmax[0]) for x in st]
+            chis = [float(x.chi[0]) for x in st]
             assert cmaxes[0] <= cmaxes[1] <= cmaxes[2], (ps, cmaxes)
             assert chis[0] <= chis[1] <= chis[2], (ps, chis)
             checked += 1
@@ -212,10 +203,10 @@ def test_criterion_10_report_only_quantities(pc14):
                           master_seed=1002)
         records = run_sweep(cfg, pc14)
 
-        labs = _labelings(n, pc14.p_hat, 30, master=1003)
-        profile = two_point_radial_hat(labs)
-        chi_pt = chi_hat(labs)
-        triangle = triangle_diagram_hat(profile, chi_pt.mean, 1.0, 1.0, p=pc14.p_hat)
+        # the triangle at p_hat itself: eps = 0, K1 = K2 = 1
+        tri_cfg = SweepConfig(n=n, epsilon_grid=(0.0,), replicates=30, master_seed=1003,
+                              observables=ObservableFlags(triangle=True))
+        triangle = run_sweep(tri_cfg, pc14)[0].triangle
 
         summary = regime_summary(records, duality=dual, triangle=triangle)
         assert summary.duality_ratio is not None
@@ -228,10 +219,10 @@ def test_criterion_10_report_only_quantities(pc14):
         # percolation-probability and concentration reports above the window
         eps = 0.45
         p_sup = pc14.p_hat + eps / n
-        sup_labs = _labelings(n, p_sup, 40, master=1004)
         cut = n_alpha(pc14.p_hat, p_sup, n, 0.5)
-        theta = theta_alpha_hat(sup_labs, cut)
-        conc = z_concentration_check(sup_labs, cut, eta1=0.2)
+        z_geq = replicate_stats(CubeDim(n), p_sup, 1004, range(40), z_at=math.ceil(cut)).z_geq
+        theta = Estimate.from_samples(z_geq / 2**n)
+        conc = z_concentration_check(CubeDim(n), z_geq, cut, eta1=0.2)
         print(f"  theta_alpha = {theta.mean:.4f} (theta/eps = {theta.mean / eps:.3f}, "
               f"upper reference 27)")
         print(f"  Z concentration: exceed frequency {conc.exceed_frequency:.3f} at "

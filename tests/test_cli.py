@@ -1,9 +1,17 @@
 import csv
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from cubeperc.cli import EXIT_INTERNAL, EXIT_OK, EXIT_UNCONVERGED, EXIT_USAGE, parse_and_dispatch
+from cubeperc.cli import (
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_UNCONVERGED,
+    EXIT_USAGE,
+    MAX_N,
+    parse_and_dispatch,
+)
 
 
 def _read_csv(path):
@@ -29,6 +37,36 @@ def test_invalid_flag_exits_2(capsys):
     assert parse_and_dispatch(["oracle", "--p", "0.5"]) == EXIT_USAGE  # missing --n
     assert parse_and_dispatch(["oracle", "--n", "7", "--p", "0.5"]) == EXIT_USAGE  # n > 3
     assert parse_and_dispatch(["no-such-command"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["pc-solve"], ["sweep", "--eps", "0"], ["sprinkle"],
+                                  ["duality"], ["triangle"], ["triangle", "--pc", "0.04"]])
+def test_oversized_n_is_refused_before_allocating(tmp_path, capsys, argv):
+    # one sample at n = MAX_N + 1 alone takes (MAX_N + 1) 2^MAX_N bytes of planes
+    out = tmp_path / "big"
+    tracemalloc.start()
+    try:
+        code = parse_and_dispatch(argv + ["--n", str(MAX_N + 1), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert f"--n {MAX_N + 1} exceeds {MAX_N}" in capsys.readouterr().err
+    assert peak < 2**20, peak
+    assert not out.exists()
+    # a config file is held to the same cap
+    config = tmp_path / "big.cfg"
+    config.write_text(f"n = {MAX_N + 1}\n")
+    assert parse_and_dispatch(argv + ["--config", str(config), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_largest_n_passes_the_cap(tmp_path, capsys):
+    # n = MAX_N gets past the cap and fails on the density, still before sampling
+    code = parse_and_dispatch(["triangle", "--n", str(MAX_N), "--p", "2.0",
+                               "--out", str(tmp_path / "tri")])
+    assert code == EXIT_USAGE
+    assert "density 2.0 outside [0, 1]" in capsys.readouterr().err
 
 
 def test_unconverged_solver_exits_3(tmp_path):

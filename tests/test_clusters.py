@@ -13,7 +13,7 @@ from cubeperc.clusters import (
 )
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
-from cubeperc.gen import OccupiedGraph, SeedSpec, coupled_sample, sample_subgraph, union_graphs
+from cubeperc.gen import OccupiedGraph, SeedSpec, sample_subgraph, union_graphs
 
 from _reference import bfs_component_sizes, edge_endpoints, gray_path, path_graph
 
@@ -175,7 +175,7 @@ def test_count_z_geq_properties():
 @settings(deadline=None, max_examples=40)
 def test_monotone_coupling_of_observables(rep):
     dim = CubeDim(8)
-    graphs = coupled_sample(dim, [0.1, 0.2, 0.4], SeedSpec(99, rep))
+    graphs = [sample_subgraph(dim, p, SeedSpec(99, rep)) for p in (0.1, 0.2, 0.4)]
     labs = [label_components(g) for g in graphs]
     cmaxes = [top_two(lab)[0] for lab in labs]
     assert cmaxes == sorted(cmaxes)

@@ -10,7 +10,6 @@ from cubeperc.gen import (
     EdgeId,
     OccupiedGraph,
     SeedSpec,
-    coupled_sample,
     load_occupancy,
     sample_subgraph,
     save_occupancy,
@@ -80,22 +79,13 @@ def test_per_edge_uniformity():
 
 
 def test_coupled_sample_nested():
+    # one SeedSpec thresholds the same uniforms at every p, so samples nest
     dim = CubeDim(7)
-    graphs = coupled_sample(dim, [0.0, 0.2, 0.5, 0.9, 1.0], SeedSpec(5))
+    graphs = [sample_subgraph(dim, p, SeedSpec(5)) for p in (0.0, 0.2, 0.5, 0.9, 1.0)]
     assert graphs[0].occupied_count() == 0
     assert graphs[-1].occupied_count() == dim.edge_count
     for small, big in zip(graphs, graphs[1:]):
         assert not (small.planes & ~big.planes).any()
-    with pytest.raises(ValueError):
-        coupled_sample(dim, [0.5, 0.2], SeedSpec(5))
-
-
-def test_coupled_marginal_matches_plain_sample():
-    dim = CubeDim(9)
-    seed = SeedSpec(77, 3)
-    coupled = coupled_sample(dim, [0.25, 0.75], seed)
-    assert (coupled[0].planes == sample_subgraph(dim, 0.25, seed).planes).all()
-    assert (coupled[1].planes == sample_subgraph(dim, 0.75, seed).planes).all()
 
 
 def _reference_uniform(seed, flat_id):
@@ -133,11 +123,10 @@ def test_integer_threshold_matches_float_uniforms(n, p, master, rep):
     seed = SeedSpec(master, rep)
     u = edge_uniforms(dim, seed)
     assert np.array_equal(sample_subgraph(dim, p, seed).planes, u < p)
-    # the coupled grid also sits exactly on, and just above, one sampled uniform
+    # so does p exactly on, and just above, one sampled uniform
     first = float(u.flat[0])
-    p_list = sorted({0.0, p, first, math.nextafter(first, 1.0), 1.0})
-    for graph in coupled_sample(dim, p_list, seed):
-        assert np.array_equal(graph.planes, u < graph.p)
+    for q in (first, math.nextafter(first, 1.0)):
+        assert np.array_equal(sample_subgraph(dim, q, seed).planes, u < q)
 
 
 def test_union_graphs():

@@ -9,20 +9,17 @@ from hypothesis import strategies as st
 from cubeperc.clusters import count_z_geq, label_components, top_two
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
-from cubeperc.gen import SeedSpec, coupled_sample, sample_subgraph
+from cubeperc.gen import SeedSpec, sample_subgraph
 from cubeperc.stats import (
     Estimate,
     RadialProfile,
-    chi_hat,
     chi_sample,
     n_alpha,
-    p_geq_k_hat,
     pair_census,
     radial_convolution,
     replicate_stats,
-    theta_alpha_hat,
     triangle_diagram_hat,
-    two_point_radial_hat,
+    two_point_profile,
     z_concentration_check,
 )
 
@@ -35,10 +32,9 @@ from _reference import (
 )
 
 
-def _labelings(n, p, replicates, master=0):
-    dim = CubeDim(n)
-    return [label_components(sample_subgraph(dim, p, SeedSpec(master, r)))
-            for r in range(replicates)]
+def _chi(n, p, replicates, master=0):
+    return Estimate.from_samples(replicate_stats(CubeDim(n), p, master, range(replicates),
+                                                 chi=True).chi)
 
 
 def test_estimate_from_samples():
@@ -54,7 +50,7 @@ def test_estimate_from_samples():
 
 def test_replicate_stats_matches_hand_loop():
     dim, p, master, k = CubeDim(9), 0.14, 31, 12
-    labs = _labelings(9, p, 7, master=master)
+    labs = [label_components(sample_subgraph(dim, p, SeedSpec(master, r))) for r in range(7)]
     got = replicate_stats(dim, p, master, range(7), chi=True, top=True, z_at=k, census=True)
     assert got.chi.tolist() == [chi_sample(lab) for lab in labs]
     assert got.cmax.tolist() == [top_two(lab)[0] for lab in labs]
@@ -77,10 +73,8 @@ def test_replicate_stats_matches_hand_loop():
 
 def test_chi_boundary_exact():
     for n in (2, 8):
-        labs0 = _labelings(n, 0.0, 5)
-        labs1 = _labelings(n, 1.0, 5)
-        assert chi_hat(labs0) == Estimate(1.0, 0.0, 5)
-        assert chi_hat(labs1) == Estimate(float(2**n), 0.0, 5)
+        assert _chi(n, 0.0, 5) == Estimate(1.0, 0.0, 5)
+        assert _chi(n, 1.0, 5) == Estimate(float(2**n), 0.0, 5)
 
 
 def test_chi_against_enumeration_oracle():
@@ -90,29 +84,25 @@ def test_chi_against_enumeration_oracle():
             exact, _, _ = enumerate_observables(n, p)
             if (n, p) == (2, 0.5):
                 assert exact == 2.5625
-            est = chi_hat(_labelings(n, p, 800, master=5))
+            est = _chi(n, p, 800, master=5)
             assert abs(est.mean - exact) <= 4 * est.std_error, (n, p, est, exact)
 
 
-def test_chi_requires_consistent_input():
-    with pytest.raises(ValueError):
-        chi_hat([])
-    with pytest.raises(ValueError):
-        chi_hat(_labelings(3, 0.5, 1) + _labelings(4, 0.5, 1))
-
-
 def test_p_geq_k_trivial_and_monotone():
-    labs = _labelings(4, 0.4, 30)
-    assert p_geq_k_hat(labs, 0).mean == 1.0
-    assert p_geq_k_hat(labs, 17).mean == 0.0
-    means = [p_geq_k_hat(labs, k).mean for k in range(18)]
+    # P(|C(v)| >= k) is the engine's z_geq count over the 2^4 vertices
+    dim = CubeDim(4)
+    means = [replicate_stats(dim, 0.4, 0, range(30), z_at=k).z_geq.mean() / dim.volume
+             for k in range(18)]
+    assert means[0] == 1.0
+    assert means[17] == 0.0
     assert all(a >= b for a, b in zip(means, means[1:]))
 
 
 def test_p_geq_k_against_enumeration():
     # P(|C(0)| >= 4) for n=2, p=0.5 from the 16-configuration census: 5/16
-    labs = _labelings(2, 0.5, 2000, master=9)
-    est = p_geq_k_hat(labs, 4)
+    dim = CubeDim(2)
+    z_geq = replicate_stats(dim, 0.5, 9, range(2000), z_at=4).z_geq
+    est = Estimate.from_samples(z_geq / dim.volume)
     assert abs(est.mean - 5.0 / 16.0) <= 4 * est.std_error
 
 
@@ -141,26 +131,39 @@ def test_n_alpha_lower_bound(eps, alpha):
 
 
 def test_theta_alpha_trivials():
-    labs = _labelings(4, 1.0, 10)
-    assert theta_alpha_hat(labs, 1.0).mean == 1.0
-    assert theta_alpha_hat(labs, 16.0).mean == 1.0
-    with pytest.raises(ValueError):
-        theta_alpha_hat(labs, 0.5)
+    # at p = 1 every vertex lies in the one component of 16, so theta is 1 at
+    # any cutoff up to 16 and 0 above it
+    dim = CubeDim(4)
+    for cut, theta in ((1.0, 1.0), (16.0, 1.0), (16.5, 0.0)):
+        z_geq = replicate_stats(dim, 1.0, 0, range(10), z_at=math.ceil(cut)).z_geq
+        assert Estimate.from_samples(z_geq / dim.volume) == Estimate(theta, 0.0, 10)
 
 
 def test_two_point_trivials():
     dim = CubeDim(6)
-    profile0 = two_point_radial_hat(_labelings(6, 0.0, 3))
+
+    def profile(p, replicates):
+        return two_point_profile(dim, replicate_stats(dim, p, 0, range(replicates),
+                                                      census=True).census)
+
+    profile0 = profile(0.0, 3)
     assert profile0.values[0] == 1.0
     assert (profile0.values[1:] == 0.0).all()
-    profile1 = two_point_radial_hat(_labelings(6, 1.0, 3))
-    assert (profile1.values == 1.0).all()
-    mid = two_point_radial_hat(_labelings(6, 0.3, 10))
+    assert (profile(1.0, 3).values == 1.0).all()
+    mid = profile(0.3, 10)
     assert mid.values[0] == 1.0
     assert ((0.0 <= mid.values) & (mid.values <= 1.0)).all()
-    # connectivity cannot rise with distance on average at subcritical densities;
-    # just sanity-check the profile is finite and starts at 1
-    assert np.isfinite(mid.values).all()
+    with pytest.raises(ValueError):
+        two_point_profile(dim, np.zeros((0, 7), dtype=np.int64))
+
+
+def test_two_point_profile_sums_before_dividing():
+    # the rows are summed exactly in int64 and divided once by R 2^n C(n, k)
+    dim = CubeDim(9)
+    census = replicate_stats(dim, 0.14, 31, range(7), census=True).census
+    totals = np.array([7 * dim.volume * math.comb(9, k) for k in range(10)], dtype=np.float64)
+    assert two_point_profile(dim, census).values.tolist() == (census.sum(axis=0) / totals).tolist()
+    assert two_point_profile(dim, list(census)).values.tolist() == (census.sum(axis=0) / totals).tolist()
 
 
 @given(n=st.integers(1, 10), p=st.floats(0.0, 1.0), rep=st.integers(0, 1000))
@@ -266,19 +269,24 @@ def test_triangle_diagram_trivials():
 
 
 def test_z_concentration_trivials():
-    labs1 = _labelings(5, 1.0, 20)
-    rep = z_concentration_check(labs1, 4.0, 0.3)
+    dim = CubeDim(5)
+    full = replicate_stats(dim, 1.0, 0, range(20), z_at=4).z_geq
+    rep = z_concentration_check(dim, full, 4.0, 0.3)
     assert rep.exceed_frequency == 0.0
     assert rep.mean_z == 32.0
-    labs0 = _labelings(5, 0.0, 20)
-    rep0 = z_concentration_check(labs0, 2.0, 0.3)
+    assert rep.replicates == 20
+    empty = replicate_stats(dim, 0.0, 0, range(20), z_at=2).z_geq
+    rep0 = z_concentration_check(dim, empty, 2.0, 0.3)
     assert rep0.exceed_frequency == 0.0
     assert rep0.mean_z == 0.0
+    with pytest.raises(ValueError):
+        z_concentration_check(dim, full[:0], 4.0, 0.3)
 
 
 def test_chi_monotone_under_coupling():
+    # one SeedSpec thresholds the same uniforms at every p, so chi is monotone
     dim = CubeDim(8)
+    chis = [replicate_stats(dim, p, 55, range(20), chi=True).chi for p in (0.05, 0.1, 0.2, 0.5)]
     for rep in range(20):
-        graphs = coupled_sample(dim, [0.05, 0.1, 0.2, 0.5], SeedSpec(55, rep))
-        stats = [chi_sample(label_components(g)) for g in graphs]
+        stats = [c[rep] for c in chis]
         assert stats == sorted(stats)
