@@ -190,8 +190,10 @@ def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
     for opt in options:
         if opt.required and merged[_key(opt.name)] is None:
             raise UsageError(f"--{opt.name} is required for {subcommand}")
-    if (merged.get("n") or 0) > MAX_N:
-        raise UsageError(f"--n {merged['n']} exceeds {MAX_N}, the largest cube the CLI runs")
+    for key in ("n", "n_max"):
+        if (merged.get(key) or 0) > MAX_N:
+            raise UsageError(f"--{key.replace('_', '-')} {merged[key]} exceeds {MAX_N}, "
+                             "the largest cube the CLI runs")
     merged["subcommand"] = subcommand
     return merged
 

@@ -3,11 +3,11 @@
 Labeling is the hook-and-jump method of Shiloach and Vishkin (J. Algorithms
 3 (1982) 57-67), vectorized over all occupied edges at once.  Each round
 drops the edges whose endpoints already share a root, hooks the larger root
-of every remaining edge onto the smallest root it meets, and then jumps
-pointers until the endpoints of those edges point at roots; only the first
-round and a last pass jump every vertex.  A parent never exceeds its
-vertex, so each component ends up represented by its smallest vertex, the
-same canonical label whatever order the edges come in.
+of every remaining edge onto the smallest root it meets, and then doubles
+pointers over the hooked roots until every endpoint points at a root; only
+the first round and a last pass jump every vertex.  A parent never exceeds
+its vertex, so a jump that moves nothing keeps the parents' sum, and each
+component is labeled by its smallest vertex whatever the edge order.
 """
 
 from __future__ import annotations
@@ -50,10 +50,16 @@ class ClusterLabeling:
 
 
 def _jump_all(parent: np.ndarray) -> np.ndarray:
-    """Jump every vertex to its root; take writes into two ping-pong buffers."""
+    """Jump every vertex to its root; take writes into two ping-pong buffers.
+
+    parent[v] <= v, so a jump only lowers entries and changed nothing exactly
+    when their sum, below 2^56 for n <= 28, is unchanged.
+    """
     buf = np.empty_like(parent)
-    # mode="clip": with out= and the default mode="raise", take buffers a copy
-    while not np.array_equal(np.take(parent, parent, out=buf, mode="clip"), parent):
+    total = np.add.reduce(parent)
+    # mode="clip": with out= and the default mode="raise", take buffers a copy;
+    # the comparison reads the old total before the walrus rebinds it
+    while total != (total := np.add.reduce(parent.take(parent, out=buf, mode="clip"))):
         parent, buf = buf, parent
     return buf
 
@@ -64,12 +70,15 @@ def label_components(graph: OccupiedGraph, start: ClusterLabeling | None = None)
     `start`, the labeling of a subgraph of `graph`, stands in for the first
     round: its roots are the initial parents.  The result is the same.
     """
-    if start is not None and start.dim != graph.dim:
-        raise ValueError("start labeling is for a different dimension")
+    if start is not None:
+        if start.dim != graph.dim:
+            raise ValueError("start labeling is for a different dimension")
+        if (start.root_of > np.arange(graph.dim.volume)).any():
+            raise ValueError("start labeling has a root above its vertex")
     shift = graph.dim.n - 1
     # flat edge id -> direction d = id >> (n-1) and plane index i; the lower
     # endpoint inserts a zero bit at d into i: lo = i + (i & -(1 << d))
-    lo = np.flatnonzero(graph.planes)
+    lo = graph.planes.ravel().nonzero()[0]
     hi = lo >> shift
     np.left_shift(1, hi, out=hi)
     lo &= (1 << shift) - 1
@@ -84,23 +93,27 @@ def label_components(graph: OccupiedGraph, start: ClusterLabeling | None = None)
     while True:
         # every endpoint in lo and hi points at its root here
         a, b = parent[lo], parent[hi]
-        live = np.flatnonzero(a != b)  # indexing by a boolean mask compresses slower
+        live = (a != b).nonzero()[0]  # indexing by a boolean mask compresses slower
         if not live.size:
             break
         a, b = a[live], b[live]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         np.minimum.at(parent, hi, lo)
-        # a hooked root points at another live endpoint, so pointer doubling
-        # over the live endpoints alone takes each of them to its root
-        s = np.concatenate((lo, hi))
-        ps = parent[s]
-        while not np.array_equal(pps := parent[ps], ps):
-            parent[s] = ps = pps
-    # a vertex off the live edges can sit a few hooks below its root
-    root_of = _jump_all(parent).astype(np.int32)
-    size_by_root = np.bincount(root_of, minlength=graph.dim.volume)
+        # only the roots in hi moved, each onto a smaller root that is either
+        # still a root or in hi itself, so doubling over hi alone takes every
+        # endpoint to its root; as in _jump_all, equal sums mean a fixed point
+        ph = parent[hi]
+        total = np.add.reduce(ph)
+        while total != (total := np.add.reduce(pph := parent[ph])):
+            parent[hi] = ph = pph
+    # a vertex off the live edges can sit a few hooks below its root; bincount
+    # takes intp parents without a copy, and they are freed before the census
+    parent = _jump_all(parent)
+    size_by_root = np.bincount(parent, minlength=graph.dim.volume)
+    root_of = parent.astype(np.int32)
+    del parent
     by_size = np.bincount(size_by_root)  # entry 0 counts the non-root vertices
-    sizes_desc = np.repeat(np.arange(by_size.size)[:0:-1], by_size[:0:-1])
+    sizes_desc = np.arange(by_size.size - 1, 0, -1).repeat(by_size[:0:-1])
     return ClusterLabeling(graph.dim, root_of, size_by_root, sizes_desc)
 
 

@@ -61,6 +61,28 @@ def test_oversized_n_is_refused_before_allocating(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_oversized_n_max_is_refused_before_any_suite(tmp_path, capsys):
+    # the randomized lemma suites draw sets of 2^n_max vertices at n_max
+    out = tmp_path / "lemmas"
+    tracemalloc.start()
+    try:
+        code = parse_and_dispatch(["lemma-check", "--n-max", str(MAX_N + 1), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--n-max {MAX_N + 1} exceeds {MAX_N}" in err
+    assert "instances" not in err  # no suite reported progress
+    assert peak < 2**20, peak
+    assert not out.exists()
+    config = tmp_path / "lemmas.cfg"
+    config.write_text(f"n-max = {MAX_N + 1}\n")
+    assert parse_and_dispatch(["lemma-check", "--config", str(config), "--out", str(out)]) \
+        == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_largest_n_passes_the_cap(tmp_path, capsys):
     # n = MAX_N gets past the cap and fails on the density, still before sampling
     code = parse_and_dispatch(["triangle", "--n", str(MAX_N), "--p", "2.0",

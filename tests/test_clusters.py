@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeperc.clusters import (
+    ClusterLabeling,
     cluster_size_of,
     count_z_geq,
     label_components,
@@ -13,7 +14,14 @@ from cubeperc.clusters import (
 )
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
-from cubeperc.gen import OccupiedGraph, SeedSpec, sample_subgraph, union_graphs
+from cubeperc.experiments import SPRINKLE_SALT
+from cubeperc.gen import (
+    OccupiedGraph,
+    SeedSpec,
+    sample_subgraph,
+    sprinkle_split,
+    union_graphs,
+)
 
 from _reference import bfs_component_sizes, edge_endpoints, gray_path, path_graph
 
@@ -117,6 +125,29 @@ def test_warm_start_of_another_dimension_is_rejected():
         label_components(sample_subgraph(CubeDim(6), 0.3, SeedSpec(1)), start=start)
 
 
+def test_warm_start_with_a_root_above_its_vertex_is_rejected():
+    # the fixed-point tests compare sums, which needs parent[v] <= v throughout
+    dim = CubeDim(2)
+    root_of = np.array([0, 2, 2, 3], dtype=np.int32)
+    sizes = np.array([1, 0, 2, 1])
+    start = ClusterLabeling(dim, root_of, sizes, np.array([2, 1, 1]))
+    with pytest.raises(ValueError, match="root above its vertex"):
+        label_components(sample_subgraph(dim, 0.0, SeedSpec(0)), start=start)
+
+
+@pytest.mark.parametrize("n, path", [(4, [7, 3, 1, 0]), (10, _descending_path(10))])
+def test_warm_start_from_singletons_climbs_a_hooked_chain(n, path):
+    # the one round hooks each vertex of the path onto the next, so pointer
+    # doubling over the hooked roots needs ceil(log2(len(path) - 1)) passes
+    dim = CubeDim(n)
+    g = path_graph(dim, path)
+    lab = label_components(g, start=label_components(sample_subgraph(dim, 0.0, SeedSpec(0))))
+    ref_label, ref_sizes = bfs_component_sizes(g)
+    assert np.array_equal(lab.root_of, ref_label)
+    assert lab.sizes_desc.tolist() == ref_sizes.tolist()
+    assert lab.size_by_root[0] == len(path)
+
+
 @pytest.mark.parametrize("n", [13, 16])
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_hamiltonian_path_is_one_component(n, mirrored):
@@ -131,20 +162,36 @@ def test_hamiltonian_path_is_one_component(n, mirrored):
     assert int(lab.size_by_root[0]) == 1 << n
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.45, 1.3])
-def test_label_memory_is_bounded_per_vertex(eps):
-    n = 16
-    dim = CubeDim(n)
-    g = sample_subgraph(dim, pc_expansion_reference(n) + eps / n, SeedSpec(2026, 0))
-    expected = label_components(g)
+def _peak_bytes(call):
     tracemalloc.start()
     try:
-        lab = label_components(g)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 0.45, 1.3])
+def test_label_memory_is_bounded_per_vertex(eps):
+    n = 16
+    dim = CubeDim(n)
+    p = pc_expansion_reference(n) + eps / n
+    g = sample_subgraph(dim, p, SeedSpec(2026, 0))
+    expected = label_components(g)
+    lab, peak = _peak_bytes(lambda: label_components(g))
     assert np.array_equal(lab.root_of, expected.root_of)
     assert peak <= 80 * dim.volume, f"peak {peak / dim.volume:.1f} B per vertex"
+    if eps == 0.0:
+        return
+    # the warm-started union labeling that sprinkling_experiment runs
+    base = sample_subgraph(dim, sprinkle_split(n, p, eps), SeedSpec(2026, 0))
+    sprinkle = sample_subgraph(dim, eps / (2 * n), SeedSpec(2026 ^ SPRINKLE_SALT, 0))
+    union = union_graphs(base, sprinkle)
+    start = label_components(base)
+    lab, peak = _peak_bytes(lambda: label_components(union, start))
+    assert np.array_equal(lab.root_of, label_components(union).root_of)
+    assert peak <= 80 * dim.volume, f"warm peak {peak / dim.volume:.1f} B per vertex"
 
 
 def test_double_counting_identity():

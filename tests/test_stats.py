@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubeperc import stats
 from cubeperc.clusters import count_z_geq, label_components, top_two
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
@@ -69,6 +70,30 @@ def test_replicate_stats_matches_hand_loop():
     assert chi_only.cmax is chi_only.c2 is chi_only.z_geq is chi_only.census is None
     empty = replicate_stats(dim, p, master, range(0), top=True, census=True)
     assert empty.cmax.shape == (0,) and empty.census.shape == (0, 10)
+
+
+def test_replicate_stats_samples_and_labels_once_per_replicate(monkeypatch):
+    # the engine reaches both layers through its module-level names, once per
+    # replicate each, so wrapping those names counts and sees every replicate
+    dim, k = CubeDim(7), 5
+    graphs, labelings = [], []
+
+    def sample(*args, **kwargs):
+        graphs.append(sample_subgraph(*args, **kwargs))
+        return graphs[-1]
+
+    def label(*args, **kwargs):
+        labelings.append(label_components(*args, **kwargs))
+        return labelings[-1]
+
+    monkeypatch.setattr(stats, "sample_subgraph", sample)
+    monkeypatch.setattr(stats, "label_components", label)
+    replicate_stats(dim, 0.2, 3, range(k), chi=True, top=True, z_at=4, census=True)
+    assert len(graphs) == len(labelings) == k
+    for g, lab in zip(graphs, labelings):
+        assert g.planes.dtype == np.bool_ and g.planes.shape == (dim.n, dim.volume // 2)
+        assert lab.root_of.dtype == np.int32 and lab.root_of.shape == (dim.volume,)
+        assert (np.diff(lab.sizes_desc) <= 0).all()
 
 
 def test_chi_boundary_exact():
