@@ -182,15 +182,19 @@ def sprinkle_split(n: int, p: float, eps: float) -> float:
 
 
 _MAGIC = b"QOCC"
-_HEADER = struct.Struct("<4sIIdQQ")
-_FORMAT_VERSION = 1
+_PREFIX = struct.Struct("<4sI")  # magic, format version
+# version 1: magic, version, n, p, master seed, replicate index (a seedless
+# graph was written as seed 0, 0); version 2 appends a has-seed flag byte
+_HEADERS = {1: struct.Struct("<4sIIdQQ"), 2: struct.Struct("<4sIIdQQ?")}
+_FORMAT_VERSION = 2
 
 
 def save_occupancy(graph: OccupiedGraph, path) -> None:
     """Raw occupancy dump: little-endian header, then one packed plane per direction."""
     seed = graph.seed or SeedSpec(0, 0)
-    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, graph.dim.n, graph.p,
-                          seed.master_seed & _MASK64, seed.replicate_index & _MASK64)
+    header = _HEADERS[_FORMAT_VERSION].pack(
+        _MAGIC, _FORMAT_VERSION, graph.dim.n, graph.p, seed.master_seed & _MASK64,
+        seed.replicate_index & _MASK64, graph.seed is not None)
     with open(path, "wb") as fh:
         fh.write(header)
         for d in range(graph.dim.n):
@@ -198,22 +202,30 @@ def save_occupancy(graph: OccupiedGraph, path) -> None:
 
 
 def load_occupancy(path) -> OccupiedGraph:
+    """Read a dump of format version 1 or 2; a version 2 seedless graph loads with seed None."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < _HEADER.size:
-        raise ValueError(f"truncated occupancy dump: header needs {_HEADER.size} bytes, "
+    if len(data) >= _PREFIX.size:
+        magic, version = _PREFIX.unpack_from(data)
+        if magic != _MAGIC:
+            raise ValueError("not an occupancy dump")
+        if version not in _HEADERS:
+            raise ValueError(f"unsupported format version {version}")
+    else:  # too short to tell: report the current header's size
+        version = _FORMAT_VERSION
+    header = _HEADERS[version]
+    if len(data) < header.size:
+        raise ValueError(f"truncated occupancy dump: header needs {header.size} bytes, "
                          f"got {len(data)}")
-    magic, version, n, p, master_seed, replicate_index = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise ValueError("not an occupancy dump")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}")
+    _, _, n, p, master_seed, replicate_index, *flag = header.unpack_from(data)
     dim = CubeDim(n)
     half = 1 << (n - 1)
     plane_bytes = (half + 7) // 8
-    size = _HEADER.size + n * plane_bytes
+    size = header.size + n * plane_bytes
     if len(data) < size:
         raise ValueError(f"truncated occupancy dump: n = {n} needs {size} bytes, got {len(data)}")
-    raw = np.frombuffer(data, dtype=np.uint8, count=n * plane_bytes, offset=_HEADER.size)
+    raw = np.frombuffer(data, dtype=np.uint8, count=n * plane_bytes, offset=header.size)
     planes = np.unpackbits(raw.reshape(n, plane_bytes), axis=1, bitorder="little")[:, :half]
-    return OccupiedGraph(dim, planes.astype(bool), p, SeedSpec(master_seed, replicate_index))
+    seeded = flag[0] if flag else True  # version 1 has no flag
+    seed = SeedSpec(master_seed, replicate_index) if seeded else None
+    return OccupiedGraph(dim, planes.astype(bool), p, seed)

@@ -219,9 +219,10 @@ def pair_census(labeling: ClusterLabeling) -> np.ndarray:
     2^-n sum_w K_k(w) S_w, with S_w the sum of f^(s)^2 over |s| = w and K_k
     the Krawtchouk polynomial.  f^ is exact in int32 (|f^| <= |C| <= 2^28)
     and S_w in int64 (S_w <= 2^n |C| <= 2^56); the contraction runs in
-    Python integers.  The other components of two or more vertices are
-    counted directly, by the popcount of the XOR of every member pair,
-    batched by component size.  Working memory is O(2^n).
+    Python integers.  Components of one to three vertices are counted in
+    closed form; the rest are counted directly, by the popcount of the XOR
+    of every member pair, batched by component size.  Working memory is
+    O(2^n).
     """
     n, v_count = labeling.dim.n, labeling.dim.volume
     root_of, size_by_root = labeling.root_of, labeling.size_by_root
@@ -233,12 +234,17 @@ def pair_census(labeling: ClusterLabeling) -> np.ndarray:
     totals = [sum(map(operator.mul, row, spectral)) for row in _krawtchouk_table(n)]
     assert all(t % v_count == 0 for t in totals), "spectral census must divide by 2^n"
     counts = np.array([t // v_count for t in totals], dtype=np.int64)
+    # components of 1, 2 and 3 vertices in closed form, ordered pairs by
+    # distance: Q_n has no triangles, so 3 connected vertices form a path;
+    # only sizes up to the cut, which is 1 at n = 1 and 2 at n = 2
+    small = min(3, cut)
+    for size, row in enumerate(((1,), (2, 2), (3, 4, 2))[:small], start=1):
+        counts[:size] += int(np.count_nonzero(size_by_root == size)) * np.array(row)
     # direct members, sorted by (component size, root)
-    direct = np.flatnonzero(((size_by_root >= 2) & (size_by_root <= cut))[root_of])
+    direct = np.flatnonzero(((size_by_root > small) & (size_by_root <= cut))[root_of])
     roots = root_of[direct].astype(np.int64)
     order = np.argsort(size_by_root[roots] << n | roots)
     counts += _direct_census(direct[order], size_by_root[roots[order]], n)
-    counts[0] += int(np.count_nonzero(size_by_root == 1))
     return counts
 
 

@@ -1,9 +1,15 @@
 import csv
+import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import cubeperc
 from cubeperc.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -12,6 +18,7 @@ from cubeperc.cli import (
     MAX_N,
     parse_and_dispatch,
 )
+from cubeperc.critical import pc_expansion_reference
 
 
 def _read_csv(path):
@@ -230,3 +237,50 @@ def test_manifest_records_config(tmp_path):
     assert "version = " in manifest
     assert "numpy_version = " in manifest
     assert "wall_clock_seconds = " in manifest
+    entries = dict(line.split(" = ", 1) for line in manifest.splitlines())
+    assert int(entries["minor_page_faults"]) > 0
+    assert float(entries["peak_rss_mb"]) > 0.0
+
+
+def test_reused_parser_keeps_no_values(tmp_path, capsys):
+    # the parser is built once per process; a value given to one call must
+    # not carry over to the next
+    out = str(tmp_path / "oracle")
+    assert parse_and_dispatch(["oracle", "--n", "2", "--p", "0.3", "--replicates", "20",
+                               "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert parse_and_dispatch(["oracle", "--n", "2", "--out", out]) == EXIT_USAGE
+    assert "--p is required" in capsys.readouterr().err
+
+
+_FAULTS_PER_RUN = """
+import contextlib, io, json, resource, sys
+from cubeperc.cli import parse_and_dispatch
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = parse_and_dispatch(sys.argv[1:])
+    if code:
+        sys.exit(code)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the CLI tunes glibc's allocator only")
+def test_repeated_cli_runs_reuse_freed_arrays(tmp_path):
+    # with glibc's default thresholds each n = 16 sprinkle run takes about
+    # 1,600 minor faults, re-faulting the arrays the previous run freed
+    argv = ["sprinkle", "--n", "16", "--seeds", "1", "--pc", repr(pc_expansion_reference(16)),
+            "--out", str(tmp_path / "spr")]
+    src = str(Path(cubeperc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout.splitlines()[-1])
+    assert len(faults) == 3
+    assert max(faults) < 100, faults

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -217,6 +218,40 @@ def test_occupancy_roundtrip(n, p, master, rep, tmp_path_factory):
     assert loaded.p == p
     assert loaded.seed == seed
     assert (loaded.planes == graph.planes).all()
+
+
+def test_seedless_graph_loads_back_seedless(tmp_path):
+    dim = CubeDim(7)
+    union = union_graphs(sample_subgraph(dim, 0.2, SeedSpec(4, 0)),
+                         sample_subgraph(dim, 0.1, SeedSpec(5, 0)))
+    assert union.seed is None
+    path = tmp_path / "union.bin"
+    save_occupancy(union, path)
+    loaded = load_occupancy(path)
+    assert loaded.seed is None
+    assert loaded.p == union.p
+    assert (loaded.planes == union.planes).all()
+    # a graph seeded with SeedSpec(0, 0) still loads with that seed
+    seeded = sample_subgraph(dim, 0.2, SeedSpec(0, 0))
+    save_occupancy(seeded, path)
+    assert load_occupancy(path).seed == SeedSpec(0, 0)
+
+
+def test_loads_version_1_dumps(tmp_path):
+    # version 1: magic, version, n, p, master seed, replicate index, then the
+    # packed planes; it has no seed flag, so every dump loads with its seed
+    graph = sample_subgraph(CubeDim(6), 0.4, SeedSpec(2**63 + 5, 17))
+    planes = b"".join(np.packbits(plane, bitorder="little").tobytes() for plane in graph.planes)
+    path = tmp_path / "v1.bin"
+    for master, rep in ((2**63 + 5, 17), (0, 0)):
+        path.write_bytes(struct.pack("<4sIIdQQ", b"QOCC", 1, 6, 0.4, master, rep) + planes)
+        loaded = load_occupancy(path)
+        assert loaded.seed == SeedSpec(master, rep)
+        assert loaded.p == 0.4
+        assert (loaded.planes == graph.planes).all()
+    path.write_bytes(struct.pack("<4sIIdQQ", b"QOCC", 3, 6, 0.4, 0, 0) + planes)
+    with pytest.raises(ValueError, match="unsupported format version 3"):
+        load_occupancy(path)
 
 
 def test_load_rejects_garbage(tmp_path):

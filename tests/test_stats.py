@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from cubeperc import stats
 from cubeperc.clusters import count_z_geq, label_components, top_two
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
-from cubeperc.gen import SeedSpec, sample_subgraph
+from cubeperc.gen import SeedSpec, sample_subgraph, union_graphs
 from cubeperc.stats import (
     Estimate,
     RadialProfile,
@@ -200,16 +201,33 @@ def test_pair_census_matches_reference(n, p, rep):
     assert census.tolist() == reference_pair_census(g).tolist()
 
 
-@pytest.mark.parametrize("case", ["empty", "full", "gray", "gray_at_cut", "gray_above_cut"])
+def _pairs_and_paths(dim: CubeDim):
+    # in the 3-cube at every multiple of 8, taking turns: an edge along bit 0
+    # or 2, or a 3-vertex path through bits (0, 1) or (2, 0)
+    shapes = [(1,), (1, 2), (4,), (4, 1)]
+    paths = []
+    for j, base in enumerate(range(0, dim.volume, 8)):
+        path = [base]
+        for bit in shapes[j % len(shapes)]:
+            path.append(path[-1] ^ bit)
+        paths.append(path)
+    return functools.reduce(union_graphs, [path_graph(dim, path) for path in paths])
+
+
+@pytest.mark.parametrize("case", ["empty", "full", "gray", "gray_at_cut", "gray_above_cut",
+                                  "pairs_and_paths"])
 @pytest.mark.parametrize("n", [10, 13])
 def test_pair_census_fixed_cases(n, case):
     # a component takes the spectral path when |C|^2 > n 2^n, i.e. |C| > cut:
     # 101 at n = 10; 326 at n = 13, where a direct component of size cut no
-    # longer fits one XOR chunk and is taken in blocks of rows
+    # longer fits one XOR chunk and is taken in blocks of rows; components of
+    # 2 and 3 vertices are counted in closed form
     dim = CubeDim(n)
     cut = math.isqrt(dim.n * dim.volume)
     if case in ("empty", "full"):
         g = sample_subgraph(dim, 0.0 if case == "empty" else 1.0, SeedSpec(0))
+    elif case == "pairs_and_paths":
+        g = _pairs_and_paths(dim)
     else:
         length = {"gray": dim.volume, "gray_at_cut": cut, "gray_above_cut": cut + 1}[case]
         g = path_graph(dim, gray_path(dim.n)[:length])
@@ -219,6 +237,11 @@ def test_pair_census_fixed_cases(n, case):
         assert census.tolist() == [dim.volume * math.comb(dim.n, k) for k in range(dim.n + 1)]
     if case == "empty":
         assert census.tolist() == [dim.volume] + [0] * dim.n
+    if case == "pairs_and_paths":
+        # 2^(n-3) blocks, half of them an edge (2 pairs at distance 1) and half
+        # a path (4 at distance 1, 2 at distance 2)
+        blocks = dim.volume // 8
+        assert census.tolist() == [dim.volume, blocks * 3, blocks] + [0] * (dim.n - 2)
 
 
 def test_pair_census_memory_is_bounded_per_vertex():
