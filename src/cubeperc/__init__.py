@@ -22,7 +22,6 @@ from .gen import (  # noqa: F401
     sample_subgraph,
     save_occupancy,
     sprinkle_split,
-    union_graphs,
 )
 from .clusters import (  # noqa: F401
     ClusterLabeling,

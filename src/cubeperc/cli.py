@@ -53,7 +53,7 @@ EXIT_UNCONVERGED = 3
 EXIT_INTERNAL = 4
 
 # Largest --n the CLI accepts.  At n = 22 one sprinkle replicate peaks at
-# 378 MB RSS and one triangle replicate at 307 MB, 3.2x their n = 20 peaks.
+# 285 MB RSS and one triangle replicate at 308 MB, 3.0x their n = 20 peaks.
 MAX_N = 22
 
 

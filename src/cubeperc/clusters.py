@@ -2,12 +2,18 @@
 
 Labeling is the hook-and-jump method of Shiloach and Vishkin (J. Algorithms
 3 (1982) 57-67), vectorized over all occupied edges at once.  Each round
-drops the edges whose endpoints already share a root, hooks the larger root
-of every remaining edge onto the smallest root it meets, and then doubles
-pointers over the hooked roots until every endpoint points at a root; only
-the first round and a last pass jump every vertex.  A parent never exceeds
-its vertex, so a jump that moves nothing keeps the parents' sum, and each
-component is labeled by its smallest vertex whatever the edge order.
+maps every live pair of edge endpoints to their parents, drops the pairs
+that agree, hooks the larger parent of each other pair onto the smallest one
+paired with it, and doubles pointers over the hooked vertices until each
+points at a root.  Parents never exceed their vertex, and each component is
+labeled by its smallest vertex.  The doubling saves rounds, not correctness.
+After a first round that reads every endpoint's parent as a root (so a start
+must be resolved), each entry v of a live pair has p[v] among the entries
+and a path of live pairs to it; a round keeps this, as each new entry is
+p[c] for an old entry c, and mapping the path from c to p[c] onto parents
+gives one from p[c] to p[p[c]].  A hook points x at a vertex paired with x
+and a jump points v at p[p[v]], so no link is cut that the pairs do not
+hold, and once no pair is live every tree is a component.
 """
 
 from __future__ import annotations
@@ -65,16 +71,19 @@ def _jump_all(parent: np.ndarray) -> np.ndarray:
 
 
 def label_components(graph: OccupiedGraph, start: ClusterLabeling | None = None) -> ClusterLabeling:
-    """Hook-and-jump labeling over all occupied edges of one configuration.
+    """Hook-and-jump labeling of `graph`'s occupied edges, joined onto `start`.
 
-    `start`, the labeling of a subgraph of `graph`, stands in for the first
-    round: its roots are the initial parents.  The result is the same.
+    `start`, if given, is any partition of the cube that labels each block by
+    its smallest vertex (root_of[v] <= v, root_of[root_of] == root_of; sizes
+    are not read), such as one layer's labeling when the graph is the other.
     """
     if start is not None:
         if start.dim != graph.dim:
             raise ValueError("start labeling is for a different dimension")
-        if (start.root_of > np.arange(graph.dim.volume)).any():
+        if (start.root_of > np.arange(graph.dim.volume, dtype=np.int32)).any():
             raise ValueError("start labeling has a root above its vertex")
+        if (start.root_of.take(start.root_of) != start.root_of).any():
+            raise ValueError("start labeling has a root that is not its own root")
     shift = graph.dim.n - 1
     # flat edge id -> direction d = id >> (n-1) and plane index i; the lower
     # endpoint inserts a zero bit at d into i: lo = i + (i & -(1 << d))

@@ -16,7 +16,7 @@ import numpy as np
 from .clusters import count_z_geq, label_components, top_two
 from .critical import PcResult, window_coord
 from .cube import CubeDim
-from .gen import OccupiedGraph, SeedSpec, sample_subgraph, sprinkle_split, union_graphs
+from .gen import OccupiedGraph, SeedSpec, sample_subgraph, sprinkle_split
 from .stats import (
     Estimate,
     TriangleReport,
@@ -265,7 +265,7 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
     threshold = math.ceil(2.0 ** (alpha * n / 3.0))
     m_vertices = count_z_geq(lab_before, threshold)
     cmax_before, _ = top_two(lab_before)
-    lab_after = label_components(union_graphs(base, sprinkle), lab_before)
+    lab_after = label_components(sprinkle, lab_before)  # base's blocks joined by the sprinkle
     cmax_after, c2_after = top_two(lab_after)
     merged = cmax_after / m_vertices if m_vertices > 0 else float("nan")
     return SprinkleReport(n, eps, alpha, p, p_minus, m_vertices,

@@ -26,7 +26,6 @@ __all__ = [
     "EdgeId",
     "OccupiedGraph",
     "sample_subgraph",
-    "union_graphs",
     "sprinkle_split",
     "save_occupancy",
     "load_occupancy",
@@ -153,13 +152,6 @@ def sample_subgraph(dim: CubeDim, p: float, seed: SeedSpec) -> OccupiedGraph:
         for lo, hi, h in _edge_hashes(dim, seed):
             np.less(h, threshold, out=planes[lo:hi])
     return OccupiedGraph(dim, planes.reshape(dim.n, -1), p, seed)
-
-
-def union_graphs(a: OccupiedGraph, b: OccupiedGraph) -> OccupiedGraph:
-    """Edgewise union; metadata density composes as p_a + p_b - p_a*p_b."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    return OccupiedGraph(a.dim, a.planes | b.planes, a.p + b.p - a.p * b.p, None)
 
 
 def sprinkle_split(n: int, p: float, eps: float) -> float:

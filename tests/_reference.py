@@ -1,7 +1,8 @@
 """Independent reference implementations used only as test oracles.
 
 Deliberately written with different algorithms from the package: labeling
-goes through explicit breadth-first search, convolution through the raw
+goes through explicit breadth-first search, joining edges onto a partition
+through a sequential union-find, convolution through the raw
 vertex double sum, the pair census through every vertex pair of the BFS
 labels, and the small-cube enumeration through the BFS labeler, which
 reads the occupied edges one direction at a time.  The float uniforms are
@@ -35,6 +36,13 @@ def edge_endpoints(graph: OccupiedGraph, direction: int) -> tuple[np.ndarray, np
     return u, u | (1 << d)
 
 
+def union_graphs(a: OccupiedGraph, b: OccupiedGraph) -> OccupiedGraph:
+    """Edgewise union; metadata density composes as p_a + p_b - p_a*p_b."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    return OccupiedGraph(a.dim, a.planes | b.planes, a.p + b.p - a.p * b.p, None)
+
+
 def bfs_component_sizes(graph: OccupiedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(root_label_per_vertex, sizes_desc) via breadth-first search."""
     n = graph.dim.n
@@ -62,6 +70,28 @@ def bfs_component_sizes(graph: OccupiedGraph) -> tuple[np.ndarray, np.ndarray]:
                     queue.append(w)
         sizes.append(size)
     return label, np.sort(np.array(sizes, dtype=np.int64))[::-1]
+
+
+def union_find_join(root_of: np.ndarray, graph: OccupiedGraph) -> np.ndarray:
+    """Smallest-vertex labels of the blocks of `root_of` joined by the edges of `graph`."""
+    parent = list(range(graph.dim.volume))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(u: int, v: int) -> None:
+        a, b = find(u), find(v)
+        parent[max(a, b)] = min(a, b)
+
+    for v, r in enumerate(root_of.tolist()):
+        union(v, r)
+    for d in range(graph.dim.n):
+        for u, v in zip(*(e.tolist() for e in edge_endpoints(graph, d))):
+            union(u, v)
+    return np.array([find(v) for v in range(graph.dim.volume)])
 
 
 def reference_pair_census(graph: OccupiedGraph) -> np.ndarray:

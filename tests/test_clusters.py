@@ -20,10 +20,16 @@ from cubeperc.gen import (
     SeedSpec,
     sample_subgraph,
     sprinkle_split,
-    union_graphs,
 )
 
-from _reference import bfs_component_sizes, edge_endpoints, gray_path, path_graph
+from _reference import (
+    bfs_component_sizes,
+    edge_endpoints,
+    gray_path,
+    path_graph,
+    union_find_join,
+    union_graphs,
+)
 
 
 def _graph_from_planes(dim, plane_bits):
@@ -125,14 +131,53 @@ def test_warm_start_of_another_dimension_is_rejected():
         label_components(sample_subgraph(CubeDim(6), 0.3, SeedSpec(1)), start=start)
 
 
+def _partition(dim, root_of):
+    """A start labeling with the given roots; its size fields follow the roots."""
+    root_of = np.asarray(root_of, dtype=np.int32)
+    size_by_root = np.bincount(root_of, minlength=dim.volume)
+    return ClusterLabeling(dim, root_of, size_by_root, np.sort(size_by_root[size_by_root > 0])[::-1])
+
+
 def test_warm_start_with_a_root_above_its_vertex_is_rejected():
     # the fixed-point tests compare sums, which needs parent[v] <= v throughout
     dim = CubeDim(2)
-    root_of = np.array([0, 2, 2, 3], dtype=np.int32)
-    sizes = np.array([1, 0, 2, 1])
-    start = ClusterLabeling(dim, root_of, sizes, np.array([2, 1, 1]))
     with pytest.raises(ValueError, match="root above its vertex"):
-        label_components(sample_subgraph(dim, 0.0, SeedSpec(0)), start=start)
+        label_components(sample_subgraph(dim, 0.0, SeedSpec(0)), start=_partition(dim, [0, 2, 2, 3]))
+
+
+def test_unresolved_warm_start_is_refused():
+    # the block {2, 3, 5} written as the chain 5 -> 3 -> 2 keeps every root at
+    # or below its vertex; without the check, joining the edge 1-5 reads 3 as
+    # the root of 5 and returns the blocks {1, 3, 5} and {2}, not {1, 2, 3, 5}
+    dim = CubeDim(3)
+    edge = path_graph(dim, [1, 5])
+    with pytest.raises(ValueError, match="not its own root"):
+        label_components(edge, start=_partition(dim, [0, 1, 2, 2, 4, 3, 6, 7]))
+    joined = label_components(edge, start=_partition(dim, [0, 1, 2, 2, 4, 2, 6, 7]))
+    assert joined.root_of.tolist() == [0, 1, 1, 1, 4, 1, 6, 7]
+    assert joined.sizes_desc.tolist() == [4, 1, 1, 1, 1]
+
+
+@given(n=st.integers(1, 10), blocks=st.integers(1, 1024), q=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=80)
+def test_join_matches_union_find_reference(n, blocks, q, seed):
+    # any smallest-vertex partition, blocks not necessarily connected in Q_n,
+    # joined by a batch of edges that may also fall inside blocks
+    dim = CubeDim(n)
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, min(blocks, dim.volume), dim.volume)
+    first = np.full(block.max() + 1, dim.volume)
+    np.minimum.at(first, block, np.arange(dim.volume))
+    start = _partition(dim, first[block])
+    batch = OccupiedGraph(dim, rng.random((n, dim.volume // 2)) < q, q, None)
+    lab = label_components(batch, start)
+    expected = union_find_join(start.root_of, batch)
+    assert np.array_equal(lab.root_of, expected)
+    assert np.array_equal(lab.size_by_root, np.bincount(expected, minlength=dim.volume))
+    assert lab.sizes_desc.tolist() == sorted(np.bincount(expected)[np.unique(expected)], reverse=True)
+    assert (lab.root_of.dtype, lab.size_by_root.dtype, lab.sizes_desc.dtype) == \
+        (np.int32, np.int64, np.int64)
 
 
 @pytest.mark.parametrize("n, path", [(4, [7, 3, 1, 0]), (10, _descending_path(10))])
@@ -184,14 +229,13 @@ def test_label_memory_is_bounded_per_vertex(eps):
     assert peak <= 80 * dim.volume, f"peak {peak / dim.volume:.1f} B per vertex"
     if eps == 0.0:
         return
-    # the warm-started union labeling that sprinkling_experiment runs
+    # the join that sprinkling_experiment runs: the sprinkle's edges onto the base's blocks
     base = sample_subgraph(dim, sprinkle_split(n, p, eps), SeedSpec(2026, 0))
     sprinkle = sample_subgraph(dim, eps / (2 * n), SeedSpec(2026 ^ SPRINKLE_SALT, 0))
-    union = union_graphs(base, sprinkle)
     start = label_components(base)
-    lab, peak = _peak_bytes(lambda: label_components(union, start))
-    assert np.array_equal(lab.root_of, label_components(union).root_of)
-    assert peak <= 80 * dim.volume, f"warm peak {peak / dim.volume:.1f} B per vertex"
+    lab, peak = _peak_bytes(lambda: label_components(sprinkle, start))
+    assert np.array_equal(lab.root_of, label_components(union_graphs(base, sprinkle)).root_of)
+    assert peak <= 80 * dim.volume, f"join peak {peak / dim.volume:.1f} B per vertex"
 
 
 def test_double_counting_identity():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cubeperc.clusters import label_components, top_two
-from cubeperc.critical import PcResult
+from cubeperc.critical import PcResult, pc_expansion_reference
 from cubeperc.cube import CubeDim
 from cubeperc.experiments import (
+    SPRINKLE_SALT,
     DualityReport,
     ObservableFlags,
     SweepConfig,
@@ -19,7 +20,7 @@ from cubeperc.experiments import (
 from cubeperc.gen import SeedSpec, sample_subgraph
 from cubeperc.stats import Estimate
 
-from _reference import enumerate_observables
+from _reference import enumerate_observables, union_graphs
 
 
 def _pc_stub(n, p_hat, lam=1.0):
@@ -144,6 +145,22 @@ def test_sprinkling_base_layer_reproducible():
     assert report.p == pytest.approx(0.1 + 0.4 / 10)
     q = 0.4 / 20
     assert report.p_minus + q - q * report.p_minus == pytest.approx(report.p, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_sprinkling_join_matches_cold_union_labeling(n):
+    # the experiment joins the sprinkle onto the base labeling; the union of
+    # both layers, labeled cold, must give the same two largest clusters
+    dim = CubeDim(n)
+    pc = _pc_stub(n, pc_expansion_reference(n))
+    for master, replicate in ((1, 0), (5, 3), (17, 2), (2026, 0)):
+        seed = SeedSpec(master, replicate)
+        report = sprinkling_experiment(n, 1.0, 0.5, seed, pc)
+        base = sample_subgraph(dim, report.p_minus, seed)
+        sprinkle = sample_subgraph(dim, 1.0 / (2 * n),
+                                   SeedSpec(master ^ SPRINKLE_SALT, replicate))
+        cold = label_components(union_graphs(base, sprinkle))
+        assert (report.cmax_after, report.c2_after) == top_two(cold)
 
 
 def test_sprinkling_counts_moderately_large_components():

@@ -15,10 +15,9 @@ from cubeperc.gen import (
     sample_subgraph,
     save_occupancy,
     sprinkle_split,
-    union_graphs,
 )
 
-from _reference import edge_uniforms
+from _reference import edge_uniforms, union_graphs
 
 
 def test_edge_id_canonical_form():

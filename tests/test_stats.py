@@ -11,7 +11,7 @@ from cubeperc import stats
 from cubeperc.clusters import count_z_geq, label_components, top_two
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
-from cubeperc.gen import SeedSpec, sample_subgraph, union_graphs
+from cubeperc.gen import SeedSpec, sample_subgraph
 from cubeperc.stats import (
     Estimate,
     RadialProfile,
@@ -31,6 +31,7 @@ from _reference import (
     gray_path,
     path_graph,
     reference_pair_census,
+    union_graphs,
 )
 
 
