@@ -15,17 +15,13 @@ from .cube import (  # noqa: F401
     tail_sum_exact,
 )
 from .gen import (  # noqa: F401
-    EdgeId,
     OccupiedGraph,
     SeedSpec,
-    load_occupancy,
     sample_subgraph,
-    save_occupancy,
     sprinkle_split,
 )
 from .clusters import (  # noqa: F401
     ClusterLabeling,
-    cluster_size_of,
     count_z_geq,
     label_components,
     top_two,

@@ -29,7 +29,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__, reports
-from .critical import DEFAULT_LAMBDA, PcResult, ReplicateSchedule, solve_pc
+from .critical import DEFAULT_LAMBDA, PcResult, ReplicateSchedule, pc_expansion_reference, solve_pc
 from .cube import CubeDim
 from .experiments import (
     DEFAULT_ALPHA,
@@ -187,7 +187,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_config_file(path: str, options: list[Option]) -> dict[str, Any]:
     by_name = {opt.name: opt for opt in options}
     values: dict[str, Any] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -279,7 +283,8 @@ def _cmd_pc_solve(cfg: dict[str, Any]) -> int:
                            _manifest(cfg, started, ["pc_result.csv", "pc_trace.csv"]))
     print(f"n={result.n} lambda={result.lam} p_hat={result.p_hat:.8f} "
           f"+-{result.ci_half_width:.2e} n*p_hat={result.n * result.p_hat:.4f} "
-          f"chi={result.chi_at_p_hat.mean:.4f} converged={result.converged}")
+          f"chi={result.chi_at_p_hat.mean:.4f} converged={result.converged} "
+          f"expansion={pc_expansion_reference(result.n):.6f}")
     return EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
@@ -311,6 +316,8 @@ def _cmd_sweep(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_sprinkle(cfg: dict[str, Any]) -> int:
+    if cfg["seeds"] < 1:
+        raise UsageError("--seeds must be >= 1")
     out = _out_dir(cfg)
     started = time.perf_counter()
     p_hat = _p_hat(cfg)

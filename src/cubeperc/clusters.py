@@ -28,7 +28,6 @@ from .gen import OccupiedGraph
 __all__ = [
     "ClusterLabeling",
     "label_components",
-    "cluster_size_of",
     "count_z_geq",
     "top_two",
 ]
@@ -124,11 +123,6 @@ def label_components(graph: OccupiedGraph, start: ClusterLabeling | None = None)
     by_size = np.bincount(size_by_root)  # entry 0 counts the non-root vertices
     sizes_desc = np.arange(by_size.size - 1, 0, -1).repeat(by_size[:0:-1])
     return ClusterLabeling(graph.dim, root_of, size_by_root, sizes_desc)
-
-
-def cluster_size_of(labeling: ClusterLabeling, vertex: int) -> int:
-    """Size of the component containing `vertex`."""
-    return int(labeling.size_by_root[labeling.root_of[vertex]])
 
 
 def count_z_geq(labeling: ClusterLabeling, k: int) -> int:

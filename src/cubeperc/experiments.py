@@ -315,7 +315,7 @@ def exact_enumerate(n: int, p: float) -> ExactOracle:
     occupied = (masks[:, None] >> np.arange(m) & 1).astype(bool)  # (2^m, m), flat id order
     planes = np.zeros((n + m, 1 << (n + m - 1)), dtype=bool)
     planes[:n] = occupied.reshape(-1, n, v_count // 2).transpose(1, 0, 2).reshape(n, -1)
-    lab = label_components(OccupiedGraph(CubeDim(n + m), planes, p))
+    lab = label_components(OccupiedGraph(CubeDim(n + m), planes))
     # size of each vertex's component, one row per configuration
     sizes = lab.size_by_root[lab.root_of].reshape(-1, v_count)
     weight_by_count = np.array([p**k * (1.0 - p) ** (m - k) for k in range(m + 1)])

@@ -14,7 +14,6 @@ vector of length 2^(n-1) and the flat edge id is i * 2^(n-1) + plane index.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +22,9 @@ from .cube import CubeDim
 
 __all__ = [
     "SeedSpec",
-    "EdgeId",
     "OccupiedGraph",
     "sample_subgraph",
     "sprinkle_split",
-    "save_occupancy",
-    "load_occupancy",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -68,28 +64,6 @@ class SeedSpec:
         return _mix64_scalar(k ^ ((self.replicate_index * _REPLICATE_SALT) & _MASK64))
 
 
-@dataclass(frozen=True)
-class EdgeId:
-    """Canonical undirected edge: bit `direction` of `vertex` must be clear."""
-
-    vertex: int
-    direction: int
-
-    def __post_init__(self) -> None:
-        if self.direction < 0:
-            raise ValueError("direction must be nonnegative")
-        if (self.vertex >> self.direction) & 1:
-            raise ValueError("canonical edge requires bit `direction` of `vertex` to be 0")
-
-    def other_endpoint(self) -> int:
-        return self.vertex | (1 << self.direction)
-
-    def flat_index(self, dim: CubeDim) -> int:
-        d = self.direction
-        plane_idx = ((self.vertex >> (d + 1)) << d) | (self.vertex & ((1 << d) - 1))
-        return d * (1 << (dim.n - 1)) + plane_idx
-
-
 def _edge_hashes(dim: CubeDim, seed: SeedSpec):
     """Yield (lo, hi, h): h holds the 64-bit hashes of flat edge ids lo..hi-1.
 
@@ -114,25 +88,16 @@ def _edge_hashes(dim: CubeDim, seed: SeedSpec):
 
 @dataclass(frozen=True)
 class OccupiedGraph:
-    """One bond configuration: a boolean occupancy plane per direction.
-
-    `p` records the density the graph was sampled at; it is metadata only
-    and no operation branches on it.
-    """
+    """One bond configuration: a boolean occupancy plane per direction."""
 
     dim: CubeDim
     planes: np.ndarray
-    p: float
-    seed: SeedSpec | None = None
 
     def __post_init__(self) -> None:
         expected = (self.dim.n, 1 << (self.dim.n - 1))
         if self.planes.shape != expected or self.planes.dtype != bool:
             raise ValueError(f"occupancy must be boolean with shape {expected}")
         self.planes.setflags(write=False)
-
-    def occupied_count(self) -> int:
-        return int(self.planes.sum())
 
 
 def sample_subgraph(dim: CubeDim, p: float, seed: SeedSpec) -> OccupiedGraph:
@@ -151,7 +116,7 @@ def sample_subgraph(dim: CubeDim, p: float, seed: SeedSpec) -> OccupiedGraph:
         threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
         for lo, hi, h in _edge_hashes(dim, seed):
             np.less(h, threshold, out=planes[lo:hi])
-    return OccupiedGraph(dim, planes.reshape(dim.n, -1), p, seed)
+    return OccupiedGraph(dim, planes.reshape(dim.n, -1))
 
 
 def sprinkle_split(n: int, p: float, eps: float) -> float:
@@ -172,52 +137,3 @@ def sprinkle_split(n: int, p: float, eps: float) -> float:
         raise ValueError("p must lie in [0, 1]")
     return (p - q) / (1.0 - q)
 
-
-_MAGIC = b"QOCC"
-_PREFIX = struct.Struct("<4sI")  # magic, format version
-# version 1: magic, version, n, p, master seed, replicate index (a seedless
-# graph was written as seed 0, 0); version 2 appends a has-seed flag byte
-_HEADERS = {1: struct.Struct("<4sIIdQQ"), 2: struct.Struct("<4sIIdQQ?")}
-_FORMAT_VERSION = 2
-
-
-def save_occupancy(graph: OccupiedGraph, path) -> None:
-    """Raw occupancy dump: little-endian header, then one packed plane per direction."""
-    seed = graph.seed or SeedSpec(0, 0)
-    header = _HEADERS[_FORMAT_VERSION].pack(
-        _MAGIC, _FORMAT_VERSION, graph.dim.n, graph.p, seed.master_seed & _MASK64,
-        seed.replicate_index & _MASK64, graph.seed is not None)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for d in range(graph.dim.n):
-            fh.write(np.packbits(graph.planes[d], bitorder="little").tobytes())
-
-
-def load_occupancy(path) -> OccupiedGraph:
-    """Read a dump of format version 1 or 2; a version 2 seedless graph loads with seed None."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) >= _PREFIX.size:
-        magic, version = _PREFIX.unpack_from(data)
-        if magic != _MAGIC:
-            raise ValueError("not an occupancy dump")
-        if version not in _HEADERS:
-            raise ValueError(f"unsupported format version {version}")
-    else:  # too short to tell: report the current header's size
-        version = _FORMAT_VERSION
-    header = _HEADERS[version]
-    if len(data) < header.size:
-        raise ValueError(f"truncated occupancy dump: header needs {header.size} bytes, "
-                         f"got {len(data)}")
-    _, _, n, p, master_seed, replicate_index, *flag = header.unpack_from(data)
-    dim = CubeDim(n)
-    half = 1 << (n - 1)
-    plane_bytes = (half + 7) // 8
-    size = header.size + n * plane_bytes
-    if len(data) < size:
-        raise ValueError(f"truncated occupancy dump: n = {n} needs {size} bytes, got {len(data)}")
-    raw = np.frombuffer(data, dtype=np.uint8, count=n * plane_bytes, offset=header.size)
-    planes = np.unpackbits(raw.reshape(n, plane_bytes), axis=1, bitorder="little")[:, :half]
-    seeded = flag[0] if flag else True  # version 1 has no flag
-    seed = SeedSpec(master_seed, replicate_index) if seeded else None
-    return OccupiedGraph(dim, planes.astype(bool), p, seed)

@@ -37,10 +37,10 @@ def edge_endpoints(graph: OccupiedGraph, direction: int) -> tuple[np.ndarray, np
 
 
 def union_graphs(a: OccupiedGraph, b: OccupiedGraph) -> OccupiedGraph:
-    """Edgewise union; metadata density composes as p_a + p_b - p_a*p_b."""
+    """Edgewise union of two graphs on the same cube."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    return OccupiedGraph(a.dim, a.planes | b.planes, a.p + b.p - a.p * b.p, None)
+    return OccupiedGraph(a.dim, a.planes | b.planes)
 
 
 def bfs_component_sizes(graph: OccupiedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +114,7 @@ def path_graph(dim: CubeDim, vertices: list[int]) -> OccupiedGraph:
         assert a ^ b == 1 << d, "consecutive path vertices must be cube neighbors"
         low = min(a, b)
         planes[d, ((low >> (d + 1)) << d) | (low & ((1 << d) - 1))] = True
-    return OccupiedGraph(dim, planes, 0.0, None)
+    return OccupiedGraph(dim, planes)
 
 
 def gray_path(n: int) -> list[int]:

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,8 @@ from cubeperc.cli import (
     EXIT_UNCONVERGED,
     EXIT_USAGE,
     MAX_N,
+    OPTIONS,
+    _parse_config_file,
     parse_and_dispatch,
 )
 from cubeperc.critical import pc_expansion_reference
@@ -108,11 +111,13 @@ def test_unconverged_solver_exits_3(tmp_path):
     assert len(_read_csv(out / "pc_trace.csv")) == 2
 
 
-def test_pc_solve_writes_result_and_trace(tmp_path):
+def test_pc_solve_writes_result_and_trace(tmp_path, capsys):
     out = tmp_path / "pc"
     code = parse_and_dispatch(["pc-solve", "--n", "6", "--lambda", "0.8",
                                "--seed", "3", "--out", str(out)])
     assert code == EXIT_OK
+    # the summary line compares p_hat with the expansion
+    assert capsys.readouterr().out.rstrip().endswith(f"expansion={pc_expansion_reference(6):.6f}")
     result = _read_csv(out / "pc_result.csv")
     assert result[0][:3] == ["n", "lambda", "p_hat"]
     assert result[1][0] == "6"
@@ -181,6 +186,26 @@ def test_config_file_and_precedence(tmp_path):
                                "--out", str(tmp_path / "c")]) == EXIT_USAGE
 
 
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no" / "such.cfg"
+    for path in (missing, tmp_path):  # a missing file, then a directory
+        code = parse_and_dispatch(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and str(path) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_shipped_configs_parse():
+    # each config names its subcommand in a `cubeperc <subcommand> --config` comment
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert configs
+    for path in configs:
+        used = re.search(r"cubeperc (\S+) --config", path.read_text())
+        assert used and used.group(1) in OPTIONS, path
+        assert _parse_config_file(str(path), OPTIONS[used.group(1)]), path
+
+
 def test_sprinkle_and_duality_commands(tmp_path):
     out = tmp_path / "spr"
     code = parse_and_dispatch(["sprinkle", "--n", "8", "--eps", "0.5", "--seeds", "5",
@@ -200,6 +225,13 @@ def test_sprinkle_and_duality_commands(tmp_path):
     code = parse_and_dispatch(["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1",
                                "--pc", "0.12", "--out", str(tmp_path / "over")])
     assert code == EXIT_USAGE
+
+
+def test_sprinkle_refuses_zero_seeds(tmp_path):
+    out = tmp_path / "none"
+    code = parse_and_dispatch(["sprinkle", "--n", "8", "--seeds", "0", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert not (out / "sprinkle.csv").exists()
 
 
 def test_triangle_command(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cubeperc.clusters import (
     ClusterLabeling,
-    cluster_size_of,
     count_z_geq,
     label_components,
     top_two,
@@ -34,7 +33,7 @@ from _reference import (
 
 def _graph_from_planes(dim, plane_bits):
     planes = np.array(plane_bits, dtype=bool)
-    return OccupiedGraph(dim, planes, 0.0, None)
+    return OccupiedGraph(dim, planes)
 
 
 def test_label_extremes():
@@ -53,7 +52,7 @@ def test_hand_built_two_components():
     lab = label_components(_graph_from_planes(dim, [[True, True], [False, False]]))
     assert lab.sizes_desc.tolist() == [2, 2]
     assert top_two(lab) == (2, 2)
-    assert cluster_size_of(lab, 0) == 2
+    assert lab.size_by_root[lab.root_of[0]] == 2
     assert lab.root_of[0] == lab.root_of[1]
     assert lab.root_of[2] == lab.root_of[3]
     assert lab.root_of[0] != lab.root_of[2]
@@ -170,7 +169,7 @@ def test_join_matches_union_find_reference(n, blocks, q, seed):
     first = np.full(block.max() + 1, dim.volume)
     np.minimum.at(first, block, np.arange(dim.volume))
     start = _partition(dim, first[block])
-    batch = OccupiedGraph(dim, rng.random((n, dim.volume // 2)) < q, q, None)
+    batch = OccupiedGraph(dim, rng.random((n, dim.volume // 2)) < q)
     lab = label_components(batch, start)
     expected = union_find_join(start.root_of, batch)
     assert np.array_equal(lab.root_of, expected)
@@ -244,7 +243,7 @@ def test_double_counting_identity():
     for rep in range(4):
         lab = label_components(sample_subgraph(dim, 0.25, SeedSpec(77, rep)))
         ssq = int((lab.sizes_desc**2).sum())
-        by_vertex = sum(cluster_size_of(lab, v) for v in range(dim.volume))
+        by_vertex = sum(lab.size_by_root[lab.root_of[v]] for v in range(dim.volume))
         assert ssq == by_vertex
 
 
@@ -276,4 +275,4 @@ def test_monotone_coupling_of_observables(rep):
     # coupled clusters are nested vertex-wise
     for small, big in zip(labs, labs[1:]):
         for v in (0, 17, 255):
-            assert cluster_size_of(small, v) <= cluster_size_of(big, v)
+            assert small.size_by_root[small.root_of[v]] <= big.size_by_root[big.root_of[v]]

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -7,42 +6,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeperc.cube import CubeDim
-from cubeperc.gen import (
-    EdgeId,
-    OccupiedGraph,
-    SeedSpec,
-    load_occupancy,
-    sample_subgraph,
-    save_occupancy,
-    sprinkle_split,
-)
+from cubeperc.clusters import label_components
+from cubeperc.gen import OccupiedGraph, SeedSpec, sample_subgraph, sprinkle_split
 
-from _reference import edge_uniforms, union_graphs
-
-
-def test_edge_id_canonical_form():
-    e = EdgeId(vertex=0b0101, direction=1)
-    assert e.other_endpoint() == 0b0111
-    with pytest.raises(ValueError):
-        EdgeId(vertex=0b0111, direction=1)  # bit already set
+from _reference import edge_endpoints, edge_uniforms, union_graphs
 
 
 def test_edge_id_flat_index_covers_all_edges():
+    # flat id d * 2^(n-1) + i names the edge (v, v | 1 << d) whose v has bit d
+    # clear and the other bits of i; the labeler decodes the same layout
     dim = CubeDim(4)
-    seen = set()
-    for d in range(4):
-        for v in range(16):
-            if not v >> d & 1:
-                seen.add(EdgeId(v, d).flat_index(dim))
-    assert seen == set(range(dim.edge_count))
+    half = dim.volume // 2
+    edges = []
+    for flat in range(dim.edge_count):
+        planes = np.zeros(dim.edge_count, dtype=bool)
+        planes[flat] = True
+        graph = OccupiedGraph(dim, planes.reshape(dim.n, -1))
+        found = []
+        for d in range(dim.n):
+            u, v = edge_endpoints(graph, d)
+            found += [(int(a), int(b), d) for a, b in zip(u, v)]
+        assert len(found) == 1
+        u, v, d = found[0]
+        assert d == flat // half and v == u | 1 << d
+        edges.append((u, d))
+        lab = label_components(graph)
+        assert lab.sizes_desc.tolist() == [2] + [1] * (dim.volume - 2) and lab.root_of[v] == u
+    canonical = [(v, d) for d in range(dim.n) for v in range(dim.volume) if not v >> d & 1]
+    assert sorted(edges) == sorted(canonical)
 
 
 def test_sample_extremes():
     dim = CubeDim(5)
     empty = sample_subgraph(dim, 0.0, SeedSpec(0))
     full = sample_subgraph(dim, 1.0, SeedSpec(0))
-    assert empty.occupied_count() == 0
-    assert full.occupied_count() == dim.edge_count == 80
+    assert int(empty.planes.sum()) == 0
+    assert int(full.planes.sum()) == dim.edge_count == 80
     with pytest.raises(ValueError):
         sample_subgraph(dim, 1.5, SeedSpec(0))
 
@@ -61,7 +60,7 @@ def test_occupied_count_binomial_band():
     dim = CubeDim(10)
     sigma = math.sqrt(5120 * 0.25)
     for rep in range(20):
-        count = sample_subgraph(dim, 0.5, SeedSpec(2024, rep)).occupied_count()
+        count = int(sample_subgraph(dim, 0.5, SeedSpec(2024, rep)).planes.sum())
         assert abs(count - 2560) < 4 * sigma
 
 
@@ -72,7 +71,7 @@ def test_per_edge_uniformity():
     total = 0
     edges = 0
     for rep in range(8):
-        total += sample_subgraph(dim, p, SeedSpec(9, rep)).occupied_count()
+        total += int(sample_subgraph(dim, p, SeedSpec(9, rep)).planes.sum())
         edges += dim.edge_count
     sigma = math.sqrt(edges * p * (1 - p))
     assert abs(total - edges * p) < 4 * sigma
@@ -82,8 +81,8 @@ def test_coupled_sample_nested():
     # one SeedSpec thresholds the same uniforms at every p, so samples nest
     dim = CubeDim(7)
     graphs = [sample_subgraph(dim, p, SeedSpec(5)) for p in (0.0, 0.2, 0.5, 0.9, 1.0)]
-    assert graphs[0].occupied_count() == 0
-    assert graphs[-1].occupied_count() == dim.edge_count
+    assert int(graphs[0].planes.sum()) == 0
+    assert int(graphs[-1].planes.sum()) == dim.edge_count
     for small, big in zip(graphs, graphs[1:]):
         assert not (small.planes & ~big.planes).any()
 
@@ -135,10 +134,9 @@ def test_union_graphs():
     empty = sample_subgraph(dim, 0.0, SeedSpec(2))
     full = sample_subgraph(dim, 1.0, SeedSpec(3))
     assert (union_graphs(g, empty).planes == g.planes).all()
-    assert union_graphs(g, full).occupied_count() == dim.edge_count
+    assert int(union_graphs(g, full).planes.sum()) == dim.edge_count
     h = sample_subgraph(dim, 0.4, SeedSpec(4))
     assert (union_graphs(g, h).planes == union_graphs(h, g).planes).all()
-    assert union_graphs(g, h).p == pytest.approx(0.4 + 0.4 - 0.16)
     with pytest.raises(ValueError):
         union_graphs(g, sample_subgraph(CubeDim(5), 0.4, SeedSpec(1)))
 
@@ -173,7 +171,7 @@ def test_two_layer_union_edge_marginal():
     for rep in range(5):
         base = sample_subgraph(dim, pm, SeedSpec(100, rep))
         layer = sample_subgraph(dim, q, SeedSpec(200, rep))
-        total += union_graphs(base, layer).occupied_count()
+        total += int(union_graphs(base, layer).planes.sum())
         edges += dim.edge_count
     assert edges >= 10**5
     sigma = math.sqrt(edges * p * (1 - p))
@@ -183,7 +181,6 @@ def test_two_layer_union_edge_marginal():
 def test_two_layer_union_chi_matches_direct_sample():
     # the union of independent layers is distributed like one direct sample:
     # compare susceptibility estimates from both routes
-    from cubeperc.clusters import label_components
     from cubeperc.stats import Estimate, chi_sample
 
     n, p, eps = 10, 0.12, 0.5
@@ -202,81 +199,6 @@ def test_two_layer_union_chi_matches_direct_sample():
     d = Estimate.from_samples(np.array(direct_chis))
     combined = math.hypot(u.std_error, d.std_error)
     assert abs(u.mean - d.mean) <= 4 * combined, (u, d)
-
-
-@given(n=st.integers(1, 8), p=st.floats(0.0, 1.0), master=st.integers(0, 2**63), rep=st.integers(0, 2**31))
-@settings(deadline=None, max_examples=60)
-def test_occupancy_roundtrip(n, p, master, rep, tmp_path_factory):
-    dim = CubeDim(n)
-    seed = SeedSpec(master, rep)
-    graph = sample_subgraph(dim, p, seed)
-    path = tmp_path_factory.mktemp("dump") / "graph.bin"
-    save_occupancy(graph, path)
-    loaded = load_occupancy(path)
-    assert loaded.dim == dim
-    assert loaded.p == p
-    assert loaded.seed == seed
-    assert (loaded.planes == graph.planes).all()
-
-
-def test_seedless_graph_loads_back_seedless(tmp_path):
-    dim = CubeDim(7)
-    union = union_graphs(sample_subgraph(dim, 0.2, SeedSpec(4, 0)),
-                         sample_subgraph(dim, 0.1, SeedSpec(5, 0)))
-    assert union.seed is None
-    path = tmp_path / "union.bin"
-    save_occupancy(union, path)
-    loaded = load_occupancy(path)
-    assert loaded.seed is None
-    assert loaded.p == union.p
-    assert (loaded.planes == union.planes).all()
-    # a graph seeded with SeedSpec(0, 0) still loads with that seed
-    seeded = sample_subgraph(dim, 0.2, SeedSpec(0, 0))
-    save_occupancy(seeded, path)
-    assert load_occupancy(path).seed == SeedSpec(0, 0)
-
-
-def test_loads_version_1_dumps(tmp_path):
-    # version 1: magic, version, n, p, master seed, replicate index, then the
-    # packed planes; it has no seed flag, so every dump loads with its seed
-    graph = sample_subgraph(CubeDim(6), 0.4, SeedSpec(2**63 + 5, 17))
-    planes = b"".join(np.packbits(plane, bitorder="little").tobytes() for plane in graph.planes)
-    path = tmp_path / "v1.bin"
-    for master, rep in ((2**63 + 5, 17), (0, 0)):
-        path.write_bytes(struct.pack("<4sIIdQQ", b"QOCC", 1, 6, 0.4, master, rep) + planes)
-        loaded = load_occupancy(path)
-        assert loaded.seed == SeedSpec(master, rep)
-        assert loaded.p == 0.4
-        assert (loaded.planes == graph.planes).all()
-    path.write_bytes(struct.pack("<4sIIdQQ", b"QOCC", 3, 6, 0.4, 0, 0) + planes)
-    with pytest.raises(ValueError, match="unsupported format version 3"):
-        load_occupancy(path)
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        load_occupancy(path)
-
-
-def test_load_rejects_truncated_dump(tmp_path):
-    path = tmp_path / "graph.bin"
-    graph = sample_subgraph(CubeDim(6), 0.5, SeedSpec(1, 2))
-    save_occupancy(graph, path)
-    data = path.read_bytes()
-    header = len(data) - 6 * 4  # six planes of 32 bits each
-    for cut in (0, 10, header - 1):
-        path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match=f"header needs {header} bytes, got {cut}$"):
-            load_occupancy(path)
-    # cuts at plane boundaries, inside the first plane and inside the last
-    for cut in (header, header + 1, header + 4, len(data) - 1):
-        path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match=f"n = 6 needs {len(data)} bytes, got {cut}$"):
-            load_occupancy(path)
-    path.write_bytes(data)
-    assert (load_occupancy(path).planes == graph.planes).all()
 
 
 def test_occupancy_immutable():
