@@ -52,8 +52,9 @@ EXIT_USAGE = 2
 EXIT_UNCONVERGED = 3
 EXIT_INTERNAL = 4
 
-# Largest --n the CLI accepts.  At n = 22 one sprinkle replicate peaks at
-# 285 MB RSS and one triangle replicate at 308 MB, 3.0x their n = 20 peaks.
+# Largest --n the CLI accepts.  At n = 22 one replicate peaks at 277 MB RSS
+# for sprinkle, 220 MB for triangle, 245 MB for a 4-density sweep and 242 MB
+# for duality, 2.5-2.9x their n = 20 peaks.
 MAX_N = 22
 
 
@@ -221,6 +222,9 @@ def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
     for opt in options:
         if opt.required and merged[_key(opt.name)] is None:
             raise UsageError(f"--{opt.name} is required for {subcommand}")
+    pc = merged.get("pc")
+    if pc is not None and not 0.0 <= pc <= 1.0:
+        raise UsageError(f"--pc {pc} is not a density: it must be finite and lie in [0, 1]")
     for key in ("n", "n_max"):
         if (merged.get(key) or 0) > MAX_N:
             raise UsageError(f"--{key.replace('_', '-')} {merged[key]} exceeds {MAX_N}, "
@@ -289,9 +293,7 @@ def _cmd_pc_solve(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_sweep(cfg: dict[str, Any]) -> int:
-    out = _out_dir(cfg)
     started = time.perf_counter()
-    p_hat = _p_hat(cfg)
     names = set(cfg["observables"])
     known = [f.name for f in fields(ObservableFlags)]
     if names - set(known):
@@ -300,7 +302,8 @@ def _cmd_sweep(cfg: dict[str, Any]) -> int:
     sweep_cfg = SweepConfig(n=cfg["n"], alpha=cfg["alpha"], epsilon_grid=cfg["eps"],
                             replicates=cfg["replicates"], master_seed=cfg["seed"],
                             observables=flags, k1=cfg["k1"], k2=cfg["k2"])
-    records = run_sweep(sweep_cfg, p_hat)
+    out = _out_dir(cfg)
+    records = run_sweep(sweep_cfg, _p_hat(cfg))
     summary = regime_summary(records)
     reports.write_csv(out / "sweep.csv", reports.SWEEP_HEADER, reports.sweep_rows(records))
     reports.write_csv(out / "regime_summary.csv", reports.SUMMARY_HEADER,
@@ -353,7 +356,8 @@ def _cmd_triangle(cfg: dict[str, Any]) -> int:
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"density {p} outside [0, 1]")
     dim = CubeDim(cfg["n"])
-    st = replicate_stats(dim, p, cfg["seed"], range(cfg["replicates"]), chi=True, census=True)
+    (st,) = replicate_stats(dim, (p,), cfg["seed"], range(cfg["replicates"]), chi=True,
+                            census=True)
     profile = two_point_profile(dim, st.census)
     report = triangle_diagram_hat(profile, float(st.chi.mean()), cfg["k1"], cfg["k2"], p=p)
     reports.write_csv(out / "two_point.csv", reports.PROFILE_HEADER,
@@ -371,8 +375,9 @@ def _cmd_oracle(cfg: dict[str, Any]) -> int:
     out = _out_dir(cfg)
     started = time.perf_counter()
     oracle = exact_enumerate(cfg["n"], cfg["p"])
-    mc = Estimate.from_samples(replicate_stats(CubeDim(cfg["n"]), cfg["p"], cfg["seed"],
-                                               range(cfg["replicates"]), chi=True).chi)
+    (st,) = replicate_stats(CubeDim(cfg["n"]), (cfg["p"],), cfg["seed"],
+                            range(cfg["replicates"]), chi=True)
+    mc = Estimate.from_samples(st.chi)
     gap = abs(mc.mean - oracle.chi_exact)
     sigmas = gap / mc.std_error if mc.std_error > 0 else 0.0
     reports.write_csv(out / "oracle.csv",

@@ -5,8 +5,11 @@ Labeling is the hook-and-jump method of Shiloach and Vishkin (J. Algorithms
 maps every live pair of edge endpoints to their parents, drops the pairs
 that agree, hooks the larger parent of each other pair onto the smallest one
 paired with it, and doubles pointers over the hooked vertices until each
-points at a root.  Parents never exceed their vertex, and each component is
-labeled by its smallest vertex.  The doubling saves rounds, not correctness.
+points at a root.  Before the rounds, a dense batch (an edge per eight
+vertices or more) is hooked whole and every vertex jumped to its root,
+which leaves the rounds few live pairs; a join's edges are first mapped to
+pairs of start roots.  Parents never exceed their vertex, and each
+component is labeled by its smallest vertex.  The doubling saves rounds, not correctness.
 After a first round that reads every endpoint's parent as a root (so a start
 must be resolved), each entry v of a live pair has p[v] among the entries
 and a path of live pairs to it; a round keeps this, as each new entry is
@@ -94,18 +97,38 @@ def label_components(graph: OccupiedGraph, start: ClusterLabeling | None = None)
     hi += lo
     if start is None:
         parent = np.arange(graph.dim.volume)
+    else:
+        # the edges as pairs of start roots, the smaller first
+        parent = start.root_of.astype(np.intp)
+        a = parent[lo]
+        del lo
+        b = parent[hi]
+        del hi
+        hi = np.maximum(a, b)
+        lo = np.minimum(a, b, out=a)
+        del a, b
+    if 8 * lo.size >= graph.dim.volume:
+        # a dense batch is hooked whole and every vertex jumped to its root;
+        # a sparse one goes straight to the rounds, whose doubling reads only
+        # the roots it hooked instead of every vertex
         np.minimum.at(parent, hi, lo)
         parent = _jump_all(parent)
-    else:
-        parent = start.root_of.astype(np.intp)
     while True:
-        # every endpoint in lo and hi points at its root here
-        a, b = parent[lo], parent[hi]
+        # every endpoint in lo and hi points at its root here; each pair array
+        # is freed as soon as it is read, so at most four live at once
+        a = parent[lo]
+        del lo
+        b = parent[hi]
+        del hi
         live = (a != b).nonzero()[0]  # indexing by a boolean mask compresses slower
         if not live.size:
             break
-        a, b = a[live], b[live]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        a = a[live]
+        b = b[live]
+        del live
+        hi = np.maximum(a, b)
+        lo = np.minimum(a, b, out=a)
+        del a, b
         np.minimum.at(parent, hi, lo)
         # only the roots in hi moved, each onto a smaller root that is either
         # still a root or in hi itself, so doubling over hi alone takes every

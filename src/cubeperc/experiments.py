@@ -75,6 +75,8 @@ class SweepConfig:
             raise ValueError("replicates must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if not self.epsilon_grid:
+            raise ValueError("epsilon grid is empty: give at least one value")
         if not all(math.isfinite(e) for e in self.epsilon_grid):
             raise ValueError("epsilon grid must be finite")
 
@@ -191,28 +193,31 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float) -> list[SweepRecord]:
     """Measure flagged observables on a grid of eps = n(p - p_hat) values.
 
     Rows whose density falls outside [0, 1] are emitted skipped.  Replicate
-    seeds are shared across rows, so the grid is monotone-coupled.
+    seeds are shared across rows, so the grid is monotone-coupled, and every
+    row is measured by one `replicate_stats` call: one hash pass and one
+    chain of joins per replicate for the whole grid.
     """
     p_hat = _p_hat(cfg.n, pc)
     dim = CubeDim(cfg.n)
     flags = cfg.observables
+    ps = [p_hat + eps / cfg.n for eps in cfg.epsilon_grid]
+    live = [i for i, p in enumerate(ps) if 0.0 <= p <= 1.0]
+    cuts = {i: n_alpha(p_hat, ps[i], cfg.n, cfg.alpha)
+            for i in live if cfg.epsilon_grid[i] > 0.0 and ps[i] > p_hat}
+    z_at = [math.ceil(cuts[i]) if (flags.theta or flags.z) and i in cuts else None for i in live]
+    measured = dict(zip(live, replicate_stats(
+        dim, [ps[i] for i in live], cfg.master_seed, range(cfg.replicates), chi=flags.chi,
+        top=flags.cmax or flags.c2, z_at=z_at, census=flags.triangle)))
     records: list[SweepRecord] = []
-    for eps in cfg.epsilon_grid:
-        p = p_hat + eps / cfg.n
+    for i, (eps, p) in enumerate(zip(cfg.epsilon_grid, ps)):
         coord = window_coord(p, cfg.n, p_hat)
         ref_below, ref_inside, ref_above = _references(cfg.n, eps)
-        if not 0.0 <= p <= 1.0:
+        st = measured.get(i)
+        if st is None:
             records.append(SweepRecord(eps, coord.Lambda, p, coord.regime, True, None,
                                        float("nan"), float("nan"), float("nan"),
                                        None, None, None, ref_below, ref_inside, ref_above))
             continue
-
-        cut = None
-        if eps > 0.0 and p > p_hat:
-            cut = n_alpha(p_hat, p, cfg.n, cfg.alpha)
-        z_at = math.ceil(cut) if (flags.theta or flags.z) and cut is not None else None
-        st = replicate_stats(dim, p, cfg.master_seed, range(cfg.replicates), chi=flags.chi,
-                             top=flags.cmax or flags.c2, z_at=z_at, census=flags.triangle)
 
         triangle = None
         if flags.triangle:
@@ -231,9 +236,9 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float) -> list[SweepRecord]:
             cmax_median=float(np.median(st.cmax)) if flags.cmax else math.nan,
             c2_mean=float(np.mean(st.c2)) if flags.c2 else math.nan,
             theta=Estimate.from_samples(st.z_geq / dim.volume)
-            if flags.theta and z_at is not None else None,
-            z_geq=Estimate.from_samples(st.z_geq) if flags.z and z_at is not None else None,
-            n_alpha_cut=cut,
+            if flags.theta and st.z_geq is not None else None,
+            z_geq=Estimate.from_samples(st.z_geq) if flags.z and st.z_geq is not None else None,
+            n_alpha_cut=cuts.get(i),
             ref_below=ref_below,
             ref_inside=ref_inside,
             ref_above=ref_above,
@@ -289,8 +294,9 @@ def duality_experiment(n: int, eps: float, replicates: int, master_seed: int,
     p_below = p_hat - eps / n
     if p_below < 0.0 or p_above > 1.0:
         raise ValueError("eps pushes one side outside [0, 1]")
-    c2_above = replicate_stats(dim, p_above, master_seed, range(replicates), top=True).c2
-    cmax_below = replicate_stats(dim, p_below, master_seed, range(replicates), top=True).cmax
+    below, above = replicate_stats(dim, (p_below, p_above), master_seed, range(replicates),
+                                   top=True)
+    c2_above, cmax_below = above.c2, below.cmax
     ratio = float(np.mean(c2_above) / np.mean(cmax_below))
     return DualityReport(n, eps, p_above, p_below, tuple(c2_above.tolist()),
                          tuple(cmax_below.tolist()), ratio)

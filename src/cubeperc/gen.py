@@ -4,7 +4,9 @@ Every edge gets its uniform from a counter-based hash of
 (master_seed, replicate_index, edge id), not from a sequential stream.
 Samples are therefore bit-identical regardless of evaluation order, any
 single edge can be re-derived in O(1), and thresholding one shared uniform
-vector at several densities yields monotone-coupled graphs for free.
+vector at several densities yields monotone-coupled graphs for free:
+`sample_layers` splits one pass of the hash into the edges each density of
+an ascending ladder adds to the one below it.
 
 Edges are kept canonical: the edge along direction i at vertex v (bit i of
 v clear) lives at plane index v-with-bit-i-removed, so plane i is a bit
@@ -14,6 +16,7 @@ vector of length 2^(n-1) and the flat edge id is i * 2^(n-1) + plane index.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from .cube import CubeDim
 __all__ = [
     "SeedSpec",
     "OccupiedGraph",
+    "sample_layers",
     "sample_subgraph",
     "sprinkle_split",
 ]
@@ -100,6 +104,50 @@ class OccupiedGraph:
         self.planes.setflags(write=False)
 
 
+def sample_layers(dim: CubeDim, ps: Sequence[float], seed: SeedSpec) -> Iterator[OccupiedGraph]:
+    """Yield, for ascending densities ps, the edges each one adds to the one before.
+
+    One pass of the hash kernel serves every density: each block is compared
+    against every threshold and the results are summed into a level per
+    edge, the number of the densities that occupy it, in the smallest
+    unsigned type that holds len(ps).  Layer k holds the edges of level
+    len(ps) - k, so layers 0..k together are sample_subgraph(dim, ps[k], seed)
+    bit for bit, and a repeated density adds an empty layer.  A single
+    density is compared straight into its bool occupancy, with no level pass.
+    """
+    if not ps:
+        raise ValueError("at least one density required")
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+    if any(a > b for a, b in zip(ps, ps[1:])):
+        raise ValueError("densities must be ascending")
+    count = len(ps)
+    # u < p for u = (h >> 11) * 2^-53 is h < ceil(p * 2^53) << 11, tested on
+    # the integer hash; at p = 1 that shift overflows and every edge is kept
+    thresholds = [np.uint64(math.ceil(p * 2.0**53) << 11) for p in ps if p < 1.0]
+    dtype = bool if count == 1 else np.min_scalar_type(count)
+    if not thresholds:
+        levels = np.full(dim.edge_count, count, dtype=dtype)
+    else:
+        levels = np.empty(dim.edge_count, dtype=dtype)
+        for lo, hi, h in _edge_hashes(dim, seed):
+            block = levels[lo:hi]
+            np.less(h, thresholds[0], out=block)
+            for t in thresholds[1:]:
+                block += h < t
+        del block  # a view: it would keep the levels alive past the top layer
+        if len(thresholds) < count:
+            levels += count - len(thresholds)
+    for k in range(count - 1):
+        yield OccupiedGraph(dim, (levels == count - k).reshape(dim.n, -1))
+    # the top layer is handed over whole: the suspended generator keeps no
+    # array alive, so the caller can free the layer as soon as it is labeled
+    top = [levels if count == 1 else levels == 1]
+    del levels
+    yield OccupiedGraph(dim, top.pop().reshape(dim.n, -1))
+
+
 def sample_subgraph(dim: CubeDim, p: float, seed: SeedSpec) -> OccupiedGraph:
     """Sample each canonical edge independently with probability p.
 
@@ -107,16 +155,8 @@ def sample_subgraph(dim: CubeDim, p: float, seed: SeedSpec) -> OccupiedGraph:
     SeedSpec are nested in p: a cluster at p lies inside its cluster at any
     larger p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    planes = np.ones(dim.edge_count, dtype=bool)
-    if p < 1.0:
-        # u < p for u = (h >> 11) * 2^-53 is h < ceil(p * 2^53) << 11, tested on
-        # the integer hash; at p = 1 that shift overflows and every edge is kept
-        threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
-        for lo, hi, h in _edge_hashes(dim, seed):
-            np.less(h, threshold, out=planes[lo:hi])
-    return OccupiedGraph(dim, planes.reshape(dim.n, -1))
+    (graph,) = sample_layers(dim, (p,), seed)
+    return graph
 
 
 def sprinkle_split(n: int, p: float, eps: float) -> float:

@@ -10,12 +10,16 @@ per-replicate census of same-component pairs by distance (`pair_census`).
 The drivers draw their replicates through `replicate_stats` (the two-layer
 sprinkling experiment excepted): replicate r at any density uses the
 uniforms of SeedSpec(master_seed, r), so densities are monotone-coupled.
+One call takes every density of a driver, a density ladder: each replicate
+hashes its edges once, labels the layer of the lowest density cold and
+joins each higher density's layer onto the labeling below it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from .clusters import ClusterLabeling, count_z_geq, label_components, top_two
 from .cube import CubeDim
-from .gen import SeedSpec, sample_subgraph
+from .gen import SeedSpec, sample_layers
 
 __all__ = [
     "Estimate",
@@ -248,35 +252,66 @@ def pair_census(labeling: ClusterLabeling) -> np.ndarray:
     return counts
 
 
-def replicate_stats(dim: CubeDim, p: float, master_seed: int, replicates: range, *,
-                    chi: bool = False, top: bool = False, z_at: int | None = None,
-                    census: bool = False) -> ReplicateStats:
-    """Sample, label and reduce the replicates r in `replicates` at density p.
+# the sizes of a partition that is only joined onto, never reduced
+_NO_SIZES = np.zeros(0, dtype=np.int64)
+_NO_SIZES.setflags(write=False)
 
-    Replicate r draws the uniforms of SeedSpec(master_seed, r), so consecutive
-    replicate ranges concatenate to their union.  Only the reducers asked for
-    run: `chi_sample` (chi), `top_two` (top: cmax and c2), `count_z_geq` at
-    cutoff `z_at` (z_geq) and `pair_census` (census, one row per replicate).
+
+def replicate_stats(dim: CubeDim, ps: Sequence[float], master_seed: int, replicates: range, *,
+                    chi: bool = False, top: bool = False,
+                    z_at: Sequence[int | None] | None = None,
+                    census: bool = False) -> list[ReplicateStats]:
+    """Sample, label and reduce the replicates r in `replicates` at each density of ps.
+
+    Returns one ReplicateStats per density, in the order of ps.  Replicate r
+    draws the uniforms of SeedSpec(master_seed, r), so consecutive replicate
+    ranges concatenate to their union.  Each replicate hashes its edges once
+    for every density: `sample_layers` splits them into the layers that the
+    densities add in ascending order, the lowest is labeled cold and each
+    later one is joined onto the labeling below it.  A smallest-vertex
+    labeling does not depend on the order its edges arrive in, so each equals
+    the cold labeling of sample_subgraph(dim, p, SeedSpec(master_seed, r)).
+    Only the reducers asked for run: `chi_sample` (chi), `top_two` (top: cmax
+    and c2), `count_z_geq` at each density's cutoff in `z_at`, None for none
+    (z_geq), and `pair_census` (census, one row per replicate).
     """
-    chis, tops, zs, censuses = [], [], [], []
+    if not ps:
+        return []
+    order = sorted(range(len(ps)), key=ps.__getitem__)
+    ascending = [ps[i] for i in order]
+    cutoffs = [None] * len(ps) if z_at is None else list(z_at)
+    if len(cutoffs) != len(ps):
+        raise ValueError("z_at needs one cutoff per density")
+    rows = [([], [], [], []) for _ in ps]
     for r in replicates:
-        lab = label_components(sample_subgraph(dim, p, SeedSpec(master_seed, r)))
-        if chi:
-            chis.append(chi_sample(lab))
-        if top:
-            tops.append(top_two(lab))
-        if z_at is not None:
-            zs.append(count_z_geq(lab, z_at))
-        if census:
-            censuses.append(pair_census(lab))
-    pairs = np.array(tops, dtype=np.int64).reshape(-1, 2)
-    return ReplicateStats(
-        chi=np.array(chis, dtype=np.float64) if chi else None,
-        cmax=pairs[:, 0] if top else None,
-        c2=pairs[:, 1] if top else None,
-        z_geq=np.array(zs, dtype=np.int64) if z_at is not None else None,
-        census=np.array(censuses, dtype=np.int64).reshape(-1, dim.n + 1) if census else None,
-    )
+        layers = sample_layers(dim, ascending, SeedSpec(master_seed, r))
+        blocks = None
+        for i in order:
+            # no name holds the layer, so it is freed before the reducers run
+            lab = label_components(next(layers), blocks)
+            chis, tops, zs, censuses = rows[i]
+            if chi:
+                chis.append(chi_sample(lab))
+            if top:
+                tops.append(top_two(lab))
+            if cutoffs[i] is not None:
+                zs.append(count_z_geq(lab, cutoffs[i]))
+            if census:
+                censuses.append(pair_census(lab))
+            # the next join reads only root_of: free the sizes before it runs
+            blocks = ClusterLabeling(dim, lab.root_of, _NO_SIZES, _NO_SIZES)
+            del lab
+    out = []
+    for (chis, tops, zs, censuses), cutoff in zip(rows, cutoffs):
+        pairs = np.array(tops, dtype=np.int64).reshape(-1, 2)
+        out.append(ReplicateStats(
+            chi=np.array(chis, dtype=np.float64) if chi else None,
+            cmax=pairs[:, 0] if top else None,
+            c2=pairs[:, 1] if top else None,
+            z_geq=np.array(zs, dtype=np.int64) if cutoff is not None else None,
+            census=np.array(censuses, dtype=np.int64).reshape(-1, dim.n + 1) if census else None,
+        ))
+    return out
 
 
 def two_point_profile(dim: CubeDim, censuses: np.ndarray) -> RadialProfile:

@@ -37,8 +37,8 @@ from conftest import ACCEPTANCE_MASTER_SEED, criterion
 
 
 def _chi(n, p, replicates, master):
-    return Estimate.from_samples(replicate_stats(CubeDim(n), p, master, range(replicates),
-                                                 chi=True).chi)
+    (st,) = replicate_stats(CubeDim(n), (p,), master, range(replicates), chi=True)
+    return Estimate.from_samples(st.chi)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -130,7 +130,8 @@ def test_criterion_6_subcritical_regime(pc16):
         n, eps, replicates = 16, -0.3, 200
         p = pc16.p_hat + eps / n
         bound = 2.0 * (2.0 * n * math.log(2)) / eps**2
-        cmax = replicate_stats(CubeDim(n), p, 601, range(replicates), top=True).cmax
+        (st,) = replicate_stats(CubeDim(n), (p,), 601, range(replicates), top=True)
+        cmax = st.cmax
         within = int((cmax <= bound).sum())
         assert within >= 0.95 * replicates, (within, replicates, bound)
         assert time.perf_counter() - start < 600
@@ -141,8 +142,9 @@ def test_criterion_7_window_scaling(pc12, pc14, pc16):
         start = time.perf_counter()
         ratios = {}
         for pc in (pc12, pc14, pc16):
-            cmaxes = replicate_stats(CubeDim(pc.n), pc.p_hat, 700 + pc.n, range(100),
-                                     top=True).cmax
+            (st,) = replicate_stats(CubeDim(pc.n), (pc.p_hat,), 700 + pc.n, range(100),
+                                    top=True)
+            cmaxes = st.cmax
             ratios[pc.n] = float(np.median(cmaxes)) / 2.0 ** (2 * pc.n / 3)
             print(f"  n={pc.n}: median|Cmax|/V^(2/3) = {ratios[pc.n]:.4f}")
             assert 0.05 <= ratios[pc.n] <= 20.0, ratios
@@ -181,7 +183,7 @@ def test_criterion_9_monotone_coupling():
         for trial in range(1000):
             ps = np.sort(rng.uniform(0.0, 0.25, 3))
             # replicate `trial` at each p: one SeedSpec(902, trial), nested samples
-            st = [replicate_stats(dim, p, 902, range(trial, trial + 1), chi=True, top=True)
+            st = [replicate_stats(dim, (p,), 902, range(trial, trial + 1), chi=True, top=True)[0]
                   for p in ps.tolist()]
             cmaxes = [int(x.cmax[0]) for x in st]
             chis = [float(x.chi[0]) for x in st]
@@ -220,7 +222,8 @@ def test_criterion_10_report_only_quantities(pc14):
         eps = 0.45
         p_sup = pc14.p_hat + eps / n
         cut = n_alpha(pc14.p_hat, p_sup, n, 0.5)
-        z_geq = replicate_stats(CubeDim(n), p_sup, 1004, range(40), z_at=math.ceil(cut)).z_geq
+        (st,) = replicate_stats(CubeDim(n), (p_sup,), 1004, range(40), z_at=(math.ceil(cut),))
+        z_geq = st.z_geq
         theta = Estimate.from_samples(z_geq / 2**n)
         conc = z_concentration_check(CubeDim(n), z_geq, cut, eta1=0.2)
         print(f"  theta_alpha = {theta.mean:.4f} (theta/eps = {theta.mean / eps:.3f}, "

@@ -227,6 +227,26 @@ def test_sprinkle_and_duality_commands(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [["sweep", "--eps", "0"], ["sprinkle"], ["duality"],
+                                     ["triangle"]])
+@pytest.mark.parametrize("pc", ["nan", "2", "-0.1", "inf"])
+def test_pc_must_be_a_density(tmp_path, capsys, command, pc):
+    out = tmp_path / "out"
+    code = parse_and_dispatch(command + ["--n", "6", "--pc", pc, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert "--pc" in capsys.readouterr().err
+
+
+def test_sweep_refuses_an_empty_grid(tmp_path, capsys):
+    # refused before the output directory is made or a threshold is solved
+    out = tmp_path / "empty"
+    code = parse_and_dispatch(["sweep", "--n", "6", "--eps", ",", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert "epsilon grid is empty" in capsys.readouterr().err
+
+
 def test_sprinkle_refuses_zero_seeds(tmp_path):
     out = tmp_path / "none"
     code = parse_and_dispatch(["sprinkle", "--n", "8", "--seeds", "0", "--out", str(out)])

@@ -20,6 +20,7 @@ from cubeperc.gen import (
     sample_subgraph,
     sprinkle_split,
 )
+from cubeperc.stats import replicate_stats
 
 from _reference import (
     bfs_component_sizes,
@@ -226,6 +227,14 @@ def test_label_memory_is_bounded_per_vertex(eps):
     lab, peak = _peak_bytes(lambda: label_components(g))
     assert np.array_equal(lab.root_of, expected.root_of)
     assert peak <= 80 * dim.volume, f"peak {peak / dim.volume:.1f} B per vertex"
+    # a density ladder from p down: one replicate's hash pass, cold labeling
+    # and joins hold their peak whatever the number of densities
+    for count in (1, 2, 11):
+        ps = [pc_expansion_reference(n) + e / n for e in np.linspace(eps, -0.9, count)]
+        ladder, peak = _peak_bytes(lambda: replicate_stats(dim, ps, 2026, range(1), top=True))
+        assert ladder[0].cmax.tolist() == [top_two(expected)[0]]
+        assert peak <= 80 * dim.volume, \
+            f"{count}-density peak {peak / dim.volume:.1f} B per vertex"
     if eps == 0.0:
         return
     # the join that sprinkling_experiment runs: the sprinkle's edges onto the base's blocks

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,24 @@ def test_sweep_row_count_and_skips():
     above = records[3]
     assert above.n_alpha_cut is not None and above.theta is not None
     assert above.z_geq.mean == pytest.approx(above.theta.mean * 64)
+
+
+def test_sweep_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="grid is empty"):
+        SweepConfig(n=6, epsilon_grid=())
+
+
+def test_sweep_ladder_matches_one_density_sweeps():
+    # one replicate_stats call serves an unsorted grid with a repeated value
+    # and two skipped rows (p below 0 and above 1); rows stay in grid order
+    pc = _pc_stub(7, 0.2)
+    cfg = SweepConfig(n=7, epsilon_grid=(0.4, -0.3, 50.0, 0.0, 0.4, -2.0, 1.1), replicates=6,
+                      master_seed=12, observables=ObservableFlags(triangle=True))
+    ladder = run_sweep(cfg, pc)
+    single = [run_sweep(dataclasses.replace(cfg, epsilon_grid=(eps,)), pc)[0]
+              for eps in cfg.epsilon_grid]
+    assert [r.skipped for r in ladder] == [False, False, True, False, False, True, False]
+    assert [repr(r) for r in ladder] == [repr(r) for r in single]
 
 
 def test_sweep_reference_values():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cubeperc.cube import CubeDim
 from cubeperc.clusters import label_components
-from cubeperc.gen import OccupiedGraph, SeedSpec, sample_subgraph, sprinkle_split
+from cubeperc.gen import OccupiedGraph, SeedSpec, sample_layers, sample_subgraph, sprinkle_split
 
 from _reference import edge_endpoints, edge_uniforms, union_graphs
 
@@ -126,6 +126,49 @@ def test_integer_threshold_matches_float_uniforms(n, p, master, rep):
     first = float(u.flat[0])
     for q in (first, math.nextafter(first, 1.0)):
         assert np.array_equal(sample_subgraph(dim, q, seed).planes, u < q)
+
+
+@given(n=st.integers(1, 8),
+       ps=st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+                   min_size=1, max_size=6),
+       repeats=st.integers(0, 2), master=st.integers(0, 2**63), rep=st.integers(0, 2**31))
+@settings(deadline=None, max_examples=80)
+def test_layers_partition_every_density_of_the_ladder(n, ps, repeats, master, rep):
+    # a ladder with 0, 1 and repeated densities: the layers are disjoint and
+    # layers 0..k together are the sample at the k-th density, bit for bit
+    dim = CubeDim(n)
+    seed = SeedSpec(master, rep)
+    ps = sorted(ps + ps[:repeats])
+    u = edge_uniforms(dim, seed)
+    union = np.zeros((dim.n, dim.volume // 2), dtype=bool)
+    layers = list(sample_layers(dim, ps, seed))
+    assert len(layers) == len(ps)
+    for k, (p, layer) in enumerate(zip(ps, layers)):
+        assert layer.planes.dtype == np.bool_
+        assert not (union & layer.planes).any()
+        union |= layer.planes
+        assert np.array_equal(union, sample_subgraph(dim, p, seed).planes)
+        assert np.array_equal(union, u < p)
+        if k and ps[k - 1] == p:
+            assert not layer.planes.any()
+
+
+def test_ladder_of_more_than_255_densities():
+    # the per-edge level outgrows uint8 here, and the ladder takes a wider type
+    dim, seed = CubeDim(3), SeedSpec(5, 1)
+    ps = sorted(np.random.default_rng(3).random(300).tolist() + [1.0])
+    union = np.zeros((dim.n, dim.volume // 2), dtype=bool)
+    for p, layer in zip(ps, sample_layers(dim, ps, seed)):
+        union |= layer.planes
+        assert np.array_equal(union, sample_subgraph(dim, p, seed).planes)
+    assert union.all()
+
+
+def test_ladder_rejects_bad_densities():
+    dim = CubeDim(4)
+    for ps in ((), (0.3, 0.2), (0.1, 1.5), (float("nan"),)):
+        with pytest.raises(ValueError):
+            list(sample_layers(dim, ps, SeedSpec(0)))
 
 
 def test_union_graphs():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeperc import stats
+from cubeperc import gen, stats
 from cubeperc.clusters import count_z_geq, label_components, top_two
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
@@ -36,8 +36,8 @@ from _reference import (
 
 
 def _chi(n, p, replicates, master=0):
-    return Estimate.from_samples(replicate_stats(CubeDim(n), p, master, range(replicates),
-                                                 chi=True).chi)
+    (st,) = replicate_stats(CubeDim(n), (p,), master, range(replicates), chi=True)
+    return Estimate.from_samples(st.chi)
 
 
 def test_estimate_from_samples():
@@ -54,48 +54,72 @@ def test_estimate_from_samples():
 def test_replicate_stats_matches_hand_loop():
     dim, p, master, k = CubeDim(9), 0.14, 31, 12
     labs = [label_components(sample_subgraph(dim, p, SeedSpec(master, r))) for r in range(7)]
-    got = replicate_stats(dim, p, master, range(7), chi=True, top=True, z_at=k, census=True)
+    (got,) = replicate_stats(dim, (p,), master, range(7), chi=True, top=True, z_at=(k,),
+                             census=True)
     assert got.chi.tolist() == [chi_sample(lab) for lab in labs]
     assert got.cmax.tolist() == [top_two(lab)[0] for lab in labs]
     assert got.c2.tolist() == [top_two(lab)[1] for lab in labs]
     assert got.z_geq.tolist() == [count_z_geq(lab, k) for lab in labs]
     assert got.census.tolist() == [pair_census(lab).tolist() for lab in labs]
     # consecutive ranges concatenate to the whole range
-    head = replicate_stats(dim, p, master, range(3), chi=True, top=True, z_at=k, census=True)
-    tail = replicate_stats(dim, p, master, range(3, 7), chi=True, top=True, z_at=k, census=True)
+    (head,) = replicate_stats(dim, (p,), master, range(3), chi=True, top=True, z_at=(k,),
+                              census=True)
+    (tail,) = replicate_stats(dim, (p,), master, range(3, 7), chi=True, top=True, z_at=(k,),
+                              census=True)
     for field in ("chi", "cmax", "c2", "z_geq", "census"):
         joined = np.concatenate([getattr(head, field), getattr(tail, field)])
         assert joined.tolist() == getattr(got, field).tolist(), field
     # only the reducers asked for run
-    chi_only = replicate_stats(dim, p, master, range(2), chi=True)
+    (chi_only,) = replicate_stats(dim, (p,), master, range(2), chi=True)
     assert chi_only.chi.tolist() == got.chi[:2].tolist()
     assert chi_only.cmax is chi_only.c2 is chi_only.z_geq is chi_only.census is None
-    empty = replicate_stats(dim, p, master, range(0), top=True, census=True)
+    (empty,) = replicate_stats(dim, (p,), master, range(0), top=True, census=True)
     assert empty.cmax.shape == (0,) and empty.census.shape == (0, 10)
 
 
 def test_replicate_stats_samples_and_labels_once_per_replicate(monkeypatch):
-    # the engine reaches both layers through its module-level names, once per
-    # replicate each, so wrapping those names counts and sees every replicate
-    dim, k = CubeDim(7), 5
-    graphs, labelings = [], []
+    # the engine reaches the hash kernel and the labeler through module-level
+    # names, so wrapping those names counts and sees every pass: one hash pass
+    # per replicate whatever the number of densities, one labeling per
+    # (replicate, density), each equal to a cold labeling at that density
+    dim, master, k = CubeDim(7), 3, 5
+    hash_passes, layers, labelings = [], [], []
+    edge_hashes = gen._edge_hashes
 
-    def sample(*args, **kwargs):
-        graphs.append(sample_subgraph(*args, **kwargs))
-        return graphs[-1]
+    def hashes(*args, **kwargs):
+        hash_passes.append(args)
+        yield from edge_hashes(*args, **kwargs)
 
-    def label(*args, **kwargs):
-        labelings.append(label_components(*args, **kwargs))
+    def label(graph, start=None):
+        layers.append(graph)
+        labelings.append(label_components(graph, start))
         return labelings[-1]
 
-    monkeypatch.setattr(stats, "sample_subgraph", sample)
-    monkeypatch.setattr(stats, "label_components", label)
-    replicate_stats(dim, 0.2, 3, range(k), chi=True, top=True, z_at=4, census=True)
-    assert len(graphs) == len(labelings) == k
-    for g, lab in zip(graphs, labelings):
-        assert g.planes.dtype == np.bool_ and g.planes.shape == (dim.n, dim.volume // 2)
-        assert lab.root_of.dtype == np.int32 and lab.root_of.shape == (dim.volume,)
-        assert (np.diff(lab.sizes_desc) <= 0).all()
+    for ps in ((0.2,), (0.3, 0.1), (0.05, 1.0, 0.2, 0.0, 0.2)):
+        cold = [[label_components(sample_subgraph(dim, p, SeedSpec(master, r)))
+                 for p in sorted(ps)] for r in range(k)]
+        for seen in (hash_passes, layers, labelings):
+            seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(gen, "_edge_hashes", hashes)
+            patch.setattr(stats, "label_components", label)
+            got = replicate_stats(dim, ps, master, range(k), chi=True, top=True,
+                                  z_at=(4,) * len(ps), census=True)
+        assert len(hash_passes) == k
+        assert len(labelings) == k * len(ps)
+        for g in layers:
+            assert g.planes.dtype == np.bool_ and g.planes.shape == (dim.n, dim.volume // 2)
+        for lab, expected in zip(labelings, (lab for row in cold for lab in row)):
+            assert lab.root_of.dtype == np.int32 and lab.root_of.shape == (dim.volume,)
+            assert np.array_equal(lab.root_of, expected.root_of)
+            assert (np.diff(lab.sizes_desc) <= 0).all()
+        # results come back in the caller's order, whatever order the ladder ran in
+        for st, p in zip(got, ps):
+            labs = [row[sorted(ps).index(p)] for row in cold]
+            assert st.chi.tolist() == [chi_sample(lab) for lab in labs]
+            assert st.cmax.tolist() == [top_two(lab)[0] for lab in labs]
+            assert st.z_geq.tolist() == [count_z_geq(lab, 4) for lab in labs]
+            assert st.census.tolist() == [pair_census(lab).tolist() for lab in labs]
 
 
 def test_chi_boundary_exact():
@@ -118,7 +142,7 @@ def test_chi_against_enumeration_oracle():
 def test_p_geq_k_trivial_and_monotone():
     # P(|C(v)| >= k) is the engine's z_geq count over the 2^4 vertices
     dim = CubeDim(4)
-    means = [replicate_stats(dim, 0.4, 0, range(30), z_at=k).z_geq.mean() / dim.volume
+    means = [replicate_stats(dim, (0.4,), 0, range(30), z_at=(k,))[0].z_geq.mean() / dim.volume
              for k in range(18)]
     assert means[0] == 1.0
     assert means[17] == 0.0
@@ -128,7 +152,8 @@ def test_p_geq_k_trivial_and_monotone():
 def test_p_geq_k_against_enumeration():
     # P(|C(0)| >= 4) for n=2, p=0.5 from the 16-configuration census: 5/16
     dim = CubeDim(2)
-    z_geq = replicate_stats(dim, 0.5, 9, range(2000), z_at=4).z_geq
+    (st,) = replicate_stats(dim, (0.5,), 9, range(2000), z_at=(4,))
+    z_geq = st.z_geq
     est = Estimate.from_samples(z_geq / dim.volume)
     assert abs(est.mean - 5.0 / 16.0) <= 4 * est.std_error
 
@@ -162,7 +187,8 @@ def test_theta_alpha_trivials():
     # any cutoff up to 16 and 0 above it
     dim = CubeDim(4)
     for cut, theta in ((1.0, 1.0), (16.0, 1.0), (16.5, 0.0)):
-        z_geq = replicate_stats(dim, 1.0, 0, range(10), z_at=math.ceil(cut)).z_geq
+        (st,) = replicate_stats(dim, (1.0,), 0, range(10), z_at=(math.ceil(cut),))
+        z_geq = st.z_geq
         assert Estimate.from_samples(z_geq / dim.volume) == Estimate(theta, 0.0, 10)
 
 
@@ -170,8 +196,8 @@ def test_two_point_trivials():
     dim = CubeDim(6)
 
     def profile(p, replicates):
-        return two_point_profile(dim, replicate_stats(dim, p, 0, range(replicates),
-                                                      census=True).census)
+        (st,) = replicate_stats(dim, (p,), 0, range(replicates), census=True)
+        return two_point_profile(dim, st.census)
 
     profile0 = profile(0.0, 3)
     assert profile0.values[0] == 1.0
@@ -187,7 +213,8 @@ def test_two_point_trivials():
 def test_two_point_profile_sums_before_dividing():
     # the rows are summed exactly in int64 and divided once by R 2^n C(n, k)
     dim = CubeDim(9)
-    census = replicate_stats(dim, 0.14, 31, range(7), census=True).census
+    (st,) = replicate_stats(dim, (0.14,), 31, range(7), census=True)
+    census = st.census
     totals = np.array([7 * dim.volume * math.comb(9, k) for k in range(10)], dtype=np.float64)
     assert two_point_profile(dim, census).values.tolist() == (census.sum(axis=0) / totals).tolist()
     assert two_point_profile(dim, list(census)).values.tolist() == (census.sum(axis=0) / totals).tolist()
@@ -319,12 +346,12 @@ def test_triangle_diagram_trivials():
 
 def test_z_concentration_trivials():
     dim = CubeDim(5)
-    full = replicate_stats(dim, 1.0, 0, range(20), z_at=4).z_geq
+    full = replicate_stats(dim, (1.0,), 0, range(20), z_at=(4,))[0].z_geq
     rep = z_concentration_check(dim, full, 4.0, 0.3)
     assert rep.exceed_frequency == 0.0
     assert rep.mean_z == 32.0
     assert rep.replicates == 20
-    empty = replicate_stats(dim, 0.0, 0, range(20), z_at=2).z_geq
+    empty = replicate_stats(dim, (0.0,), 0, range(20), z_at=(2,))[0].z_geq
     rep0 = z_concentration_check(dim, empty, 2.0, 0.3)
     assert rep0.exceed_frequency == 0.0
     assert rep0.mean_z == 0.0
@@ -335,7 +362,8 @@ def test_z_concentration_trivials():
 def test_chi_monotone_under_coupling():
     # one SeedSpec thresholds the same uniforms at every p, so chi is monotone
     dim = CubeDim(8)
-    chis = [replicate_stats(dim, p, 55, range(20), chi=True).chi for p in (0.05, 0.1, 0.2, 0.5)]
+    chis = [replicate_stats(dim, (p,), 55, range(20), chi=True)[0].chi
+            for p in (0.05, 0.1, 0.2, 0.5)]
     for rep in range(20):
         stats = [c[rep] for c in chis]
         assert stats == sorted(stats)
