@@ -8,8 +8,10 @@ command line > config file > defaults; the config file is flat
 `key = value` text using the long option names, and unknown keys are
 rejected.
 
-Exit codes: 0 success, 2 usage or validation error, 3 unconverged solver,
-4 internal error.
+Exit codes: 0 success, 2 usage or validation error, 3 unconverged threshold
+solve (in any subcommand), 4 internal error.  A subcommand returns its tables
+and the dispatcher writes them with the manifest, so a run that fails before
+returning writes nothing, not even its output directory.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import re
 import resource
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,8 +73,10 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 _COMMON = [
@@ -98,8 +102,7 @@ OPTIONS: dict[str, list[Option]] = {
         Option("alpha", float, DEFAULT_ALPHA, "percolation-probability exponent"),
         Option("eps", _float_list, None, "comma-separated epsilon grid", required=True),
         Option("replicates", int, 200, "replicates per grid point"),
-        Option("observables", _str_list, ("chi", "cmax", "c2", "theta", "z"),
-               "comma-separated subset of chi,cmax,c2,theta,z,triangle"),
+        Option("triangle", _bool, False, "also write triangle.csv: true or false"),
         Option("k1", float, 1.0, "triangle bound constant K1"),
         Option("k2", float, 1.0, "triangle bound constant K2"),
     ],
@@ -137,6 +140,22 @@ OPTIONS: dict[str, list[Option]] = {
 
 class UsageError(Exception):
     pass
+
+
+class Unconverged(Exception):
+    """The threshold solve spent its budget before it converged."""
+
+
+Table = tuple[Sequence[str], Iterable[Sequence[Any]]]
+
+
+@dataclass(frozen=True)
+class Run:
+    """A subcommand's result: CSV tables by file name, in manifest order, and stdout lines."""
+
+    tables: dict[str, Table]
+    lines: list[str]
+    code: int = EXIT_OK
 
 
 def _key(name: str) -> str:
@@ -233,12 +252,6 @@ def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
     return merged
 
 
-def _out_dir(cfg: dict[str, Any]) -> Path:
-    path = Path(cfg.get("out") or f"runs/{cfg['subcommand']}")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _manifest(cfg: dict[str, Any], started: float, outputs: list[str]) -> dict[str, Any]:
     entries: dict[str, Any] = {"version": __version__, "numpy_version": np.__version__}
     for key in sorted(cfg):
@@ -271,58 +284,39 @@ def _p_hat(cfg: dict[str, Any]) -> float:
     print(f"solving threshold for n={cfg['n']} lambda={cfg['lambda']} ...", file=sys.stderr)
     result = _solve(cfg)
     if not result.converged:
-        raise UsageError("threshold solver did not converge; rerun with a larger budget")
+        raise Unconverged("threshold solver did not converge; rerun with a larger budget")
     return result.p_hat
 
 
-def _cmd_pc_solve(cfg: dict[str, Any]) -> int:
-    out = _out_dir(cfg)
-    started = time.perf_counter()
+def _cmd_pc_solve(cfg: dict[str, Any]) -> Run:
     result = _solve(cfg)
-    reports.write_csv(out / "pc_trace.csv", reports.PC_TRACE_HEADER,
-                      reports.pc_trace_rows(result))
-    reports.write_csv(out / "pc_result.csv", reports.PC_RESULT_HEADER,
-                      reports.pc_result_rows(result))
-    reports.write_manifest(out / "manifest.txt",
-                           _manifest(cfg, started, ["pc_result.csv", "pc_trace.csv"]))
-    print(f"n={result.n} lambda={result.lam} p_hat={result.p_hat:.8f} "
-          f"+-{result.ci_half_width:.2e} n*p_hat={result.n * result.p_hat:.4f} "
-          f"chi={result.chi_at_p_hat.mean:.4f} converged={result.converged} "
-          f"expansion={pc_expansion_reference(result.n):.6f}")
-    return EXIT_OK if result.converged else EXIT_UNCONVERGED
+    line = (f"n={result.n} lambda={result.lam} p_hat={result.p_hat:.8f} "
+            f"+-{result.ci_half_width:.2e} n*p_hat={result.n * result.p_hat:.4f} "
+            f"chi={result.chi_at_p_hat.mean:.4f} converged={result.converged} "
+            f"expansion={pc_expansion_reference(result.n):.6f}")
+    return Run({"pc_result.csv": (reports.PC_RESULT_HEADER, reports.pc_result_rows(result)),
+                "pc_trace.csv": (reports.PC_TRACE_HEADER, reports.pc_trace_rows(result))},
+               [line], EXIT_OK if result.converged else EXIT_UNCONVERGED)
 
 
-def _cmd_sweep(cfg: dict[str, Any]) -> int:
-    started = time.perf_counter()
-    names = set(cfg["observables"])
-    known = [f.name for f in fields(ObservableFlags)]
-    if names - set(known):
-        raise UsageError(f"unknown observables: {sorted(names - set(known))}")
-    flags = ObservableFlags(**{name: name in names for name in known})
+def _cmd_sweep(cfg: dict[str, Any]) -> Run:
     sweep_cfg = SweepConfig(n=cfg["n"], alpha=cfg["alpha"], epsilon_grid=cfg["eps"],
                             replicates=cfg["replicates"], master_seed=cfg["seed"],
-                            observables=flags, k1=cfg["k1"], k2=cfg["k2"])
-    out = _out_dir(cfg)
+                            observables=ObservableFlags(triangle=cfg["triangle"]),
+                            k1=cfg["k1"], k2=cfg["k2"])
     records = run_sweep(sweep_cfg, _p_hat(cfg))
     summary = regime_summary(records)
-    reports.write_csv(out / "sweep.csv", reports.SWEEP_HEADER, reports.sweep_rows(records))
-    reports.write_csv(out / "regime_summary.csv", reports.SUMMARY_HEADER,
-                      reports.summary_rows(summary))
-    outputs = ["sweep.csv", "regime_summary.csv"] + ["triangle.csv"] * flags.triangle
-    if flags.triangle:
-        reports.write_csv(out / "triangle.csv", reports.TRIANGLE_HEADER,
-                          reports.triangle_rows([r.triangle for r in records if r.triangle]))
-    reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, outputs))
-    for line in summary.lines():
-        print(line)
-    return EXIT_OK
+    tables = {"sweep.csv": (reports.SWEEP_HEADER, reports.sweep_rows(records)),
+              "regime_summary.csv": (reports.SUMMARY_HEADER, reports.summary_rows(summary))}
+    if cfg["triangle"]:
+        tables["triangle.csv"] = (reports.TRIANGLE_HEADER, reports.triangle_rows(
+            [r.triangle for r in records if r.triangle]))
+    return Run(tables, summary.lines())
 
 
-def _cmd_sprinkle(cfg: dict[str, Any]) -> int:
+def _cmd_sprinkle(cfg: dict[str, Any]) -> Run:
     if cfg["seeds"] < 1:
         raise UsageError("--seeds must be >= 1")
-    out = _out_dir(cfg)
-    started = time.perf_counter()
     p_hat = _p_hat(cfg)
     runs = []
     for r in range(cfg["seeds"]):
@@ -330,28 +324,20 @@ def _cmd_sprinkle(cfg: dict[str, Any]) -> int:
                                           SeedSpec(cfg["seed"], r), p_hat))
         if (r + 1) % 25 == 0:
             print(f"sprinkle replicate {r + 1}/{cfg['seeds']}", file=sys.stderr)
-    reports.write_csv(out / "sprinkle.csv", reports.SPRINKLE_HEADER, reports.sprinkle_rows(runs))
-    reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, ["sprinkle.csv"]))
     merged_ok = sum(1 for r in runs if r.M > 0 and r.cmax_after * 3 >= r.M)
-    print(f"{len(runs)} runs; union cluster >= M/3 in {merged_ok}/{len(runs)}")
-    return EXIT_OK
+    return Run({"sprinkle.csv": (reports.SPRINKLE_HEADER, reports.sprinkle_rows(runs))},
+               [f"{len(runs)} runs; union cluster >= M/3 in {merged_ok}/{len(runs)}"])
 
 
-def _cmd_duality(cfg: dict[str, Any]) -> int:
-    out = _out_dir(cfg)
-    started = time.perf_counter()
+def _cmd_duality(cfg: dict[str, Any]) -> Run:
     report = duality_experiment(cfg["n"], cfg["eps"], cfg["replicates"], cfg["seed"],
                                 _p_hat(cfg))
-    reports.write_csv(out / "duality.csv", reports.DUALITY_HEADER, reports.duality_rows(report))
-    reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, ["duality.csv"]))
-    print(f"duality ratio mean|C2|({report.p_above:.5f}) / mean|Cmax|({report.p_below:.5f})"
-          f" = {report.ratio_of_means:.4f}")
-    return EXIT_OK
+    return Run({"duality.csv": (reports.DUALITY_HEADER, reports.duality_rows(report))},
+               [f"duality ratio mean|C2|({report.p_above:.5f}) / mean|Cmax|"
+                f"({report.p_below:.5f}) = {report.ratio_of_means:.4f}"])
 
 
-def _cmd_triangle(cfg: dict[str, Any]) -> int:
-    out = _out_dir(cfg)
-    started = time.perf_counter()
+def _cmd_triangle(cfg: dict[str, Any]) -> Run:
     p = cfg["p"] if cfg["p"] is not None else _p_hat(cfg) + cfg["eps"] / cfg["n"]
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"density {p} outside [0, 1]")
@@ -360,41 +346,30 @@ def _cmd_triangle(cfg: dict[str, Any]) -> int:
                             census=True)
     profile = two_point_profile(dim, st.census)
     report = triangle_diagram_hat(profile, float(st.chi.mean()), cfg["k1"], cfg["k2"], p=p)
-    reports.write_csv(out / "two_point.csv", reports.PROFILE_HEADER,
-                      reports.profile_rows(profile))
-    reports.write_csv(out / "triangle.csv", reports.TRIANGLE_HEADER,
-                      reports.triangle_rows([report]))
-    reports.write_manifest(out / "manifest.txt",
-                           _manifest(cfg, started, ["two_point.csv", "triangle.csv"]))
-    print(f"p={p:.6f} nabla_diag={report.nabla_diag:.6f} "
-          f"nabla_offdiag={report.nabla_offdiag:.6f} a0={report.a0:.6f}")
-    return EXIT_OK
+    return Run({"two_point.csv": (reports.PROFILE_HEADER, reports.profile_rows(profile)),
+                "triangle.csv": (reports.TRIANGLE_HEADER, reports.triangle_rows([report]))},
+               [f"p={p:.6f} nabla_diag={report.nabla_diag:.6f} "
+                f"nabla_offdiag={report.nabla_offdiag:.6f} a0={report.a0:.6f}"])
 
 
-def _cmd_oracle(cfg: dict[str, Any]) -> int:
-    out = _out_dir(cfg)
-    started = time.perf_counter()
+def _cmd_oracle(cfg: dict[str, Any]) -> Run:
     oracle = exact_enumerate(cfg["n"], cfg["p"])
     (st,) = replicate_stats(CubeDim(cfg["n"]), (cfg["p"],), cfg["seed"],
                             range(cfg["replicates"]), chi=True)
     mc = Estimate.from_samples(st.chi)
     gap = abs(mc.mean - oracle.chi_exact)
     sigmas = gap / mc.std_error if mc.std_error > 0 else 0.0
-    reports.write_csv(out / "oracle.csv",
-                      ["n", "p", "chi_exact", "e_cmax_exact", "chi_mc_mean", "chi_mc_se",
-                       "replicates", "abs_gap", "gap_sigmas"],
-                      [[oracle.n, oracle.p, oracle.chi_exact, oracle.e_cmax_exact,
-                        mc.mean, mc.std_error, mc.replicates, gap, sigmas]])
-    reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, ["oracle.csv"]))
-    print(f"chi_exact = {oracle.chi_exact!r}")
-    print(f"chi_mc    = {mc.mean!r} +- {mc.std_error!r} ({mc.replicates} replicates)")
-    print(f"gap       = {gap:.6f} ({sigmas:.2f} standard errors)")
-    return EXIT_OK
+    header = ["n", "p", "chi_exact", "e_cmax_exact", "chi_mc_mean", "chi_mc_se",
+              "replicates", "abs_gap", "gap_sigmas"]
+    row = [oracle.n, oracle.p, oracle.chi_exact, oracle.e_cmax_exact,
+           mc.mean, mc.std_error, mc.replicates, gap, sigmas]
+    return Run({"oracle.csv": (header, [row])},
+               [f"chi_exact = {oracle.chi_exact!r}",
+                f"chi_mc    = {mc.mean!r} +- {mc.std_error!r} ({mc.replicates} replicates)",
+                f"gap       = {gap:.6f} ({sigmas:.2f} standard errors)"])
 
 
-def _cmd_lemma_check(cfg: dict[str, Any]) -> int:
-    out = _out_dir(cfg)
-    started = time.perf_counter()
+def _cmd_lemma_check(cfg: dict[str, Any]) -> Run:
     results = []
     for runner, count_key in ((run_harper_suite, "harper_instances"),
                               (run_overlap_suite, "overlap_instances"),
@@ -403,15 +378,12 @@ def _cmd_lemma_check(cfg: dict[str, Any]) -> int:
         print(f"{results[-1].name}: {results[-1].instances} instances, "
               f"{results[-1].violations} violations", file=sys.stderr)
     results.append(run_tail_suite(30))
-    reports.write_csv(out / "lemma_check.csv", reports.SUITE_HEADER, reports.suite_rows(results))
-    reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, ["lemma_check.csv"]))
     bad = [r for r in results if not r.passed]
-    for r in results:
-        print(f"{r.name}: {'ok' if r.passed else 'VIOLATED'} ({r.instances} instances)")
     if bad:
         print(f"violations found in: {', '.join(r.name for r in bad)}", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+    return Run({"lemma_check.csv": (reports.SUITE_HEADER, reports.suite_rows(results))},
+               [f"{r.name}: {'ok' if r.passed else 'VIOLATED'} ({r.instances} instances)"
+                for r in results], EXIT_INTERNAL if bad else EXIT_OK)
 
 
 _DISPATCH = {
@@ -434,13 +406,24 @@ def parse_and_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(flags.subcommand, flags)
-        return _DISPATCH[flags.subcommand](cfg)
+        started = time.perf_counter()
+        run = _DISPATCH[flags.subcommand](cfg)
+        out = Path(cfg["out"] or f"runs/{flags.subcommand}")
+        for name, (header, rows) in run.tables.items():
+            reports.write_csv(out / name, header, rows)
+        reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, list(run.tables)))
+    except Unconverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNCONVERGED
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    for line in run.lines:
+        print(line)
+    return run.code
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clusters import count_z_geq, label_components, top_two
-from .critical import PcResult, window_coord
+from .critical import window_coord
 from .cube import CubeDim
 from .gen import OccupiedGraph, SeedSpec, sample_subgraph, sprinkle_split
 from .stats import (
@@ -47,13 +47,8 @@ DEFAULT_ALPHA = 0.5
 
 @dataclass(frozen=True)
 class ObservableFlags:
-    """Which observables a sweep reports; each flag fills only its own fields."""
+    """Optional sweep observables: chi, |C_max|, |C_2|, theta and Z are always measured."""
 
-    chi: bool = True
-    cmax: bool = True
-    c2: bool = True
-    theta: bool = True
-    z: bool = True
     triangle: bool = False
 
 
@@ -180,34 +175,24 @@ def _references(n: int, eps: float) -> tuple[float, float, float]:
     return ref_below, ref_inside, ref_above
 
 
-def _p_hat(n: int, pc: PcResult | float) -> float:
-    """The threshold as a float; a solved result must be for dimension n."""
-    if isinstance(pc, PcResult):
-        if pc.n != n:
-            raise ValueError("threshold result is for a different dimension")
-        return pc.p_hat
-    return float(pc)
-
-
-def run_sweep(cfg: SweepConfig, pc: PcResult | float) -> list[SweepRecord]:
-    """Measure flagged observables on a grid of eps = n(p - p_hat) values.
+def run_sweep(cfg: SweepConfig, p_hat: float) -> list[SweepRecord]:
+    """Measure the observables on a grid of eps = n(p - p_hat) values.
 
     Rows whose density falls outside [0, 1] are emitted skipped.  Replicate
     seeds are shared across rows, so the grid is monotone-coupled, and every
     row is measured by one `replicate_stats` call: one hash pass and one
     chain of joins per replicate for the whole grid.
     """
-    p_hat = _p_hat(cfg.n, pc)
     dim = CubeDim(cfg.n)
-    flags = cfg.observables
+    triangle_on = cfg.observables.triangle
     ps = [p_hat + eps / cfg.n for eps in cfg.epsilon_grid]
     live = [i for i, p in enumerate(ps) if 0.0 <= p <= 1.0]
     cuts = {i: n_alpha(p_hat, ps[i], cfg.n, cfg.alpha)
             for i in live if cfg.epsilon_grid[i] > 0.0 and ps[i] > p_hat}
-    z_at = [math.ceil(cuts[i]) if (flags.theta or flags.z) and i in cuts else None for i in live]
+    z_at = [math.ceil(cuts[i]) if i in cuts else None for i in live]
     measured = dict(zip(live, replicate_stats(
-        dim, [ps[i] for i in live], cfg.master_seed, range(cfg.replicates), chi=flags.chi,
-        top=flags.cmax or flags.c2, z_at=z_at, census=flags.triangle)))
+        dim, [ps[i] for i in live], cfg.master_seed, range(cfg.replicates), chi=True,
+        top=True, z_at=z_at, census=triangle_on)))
     records: list[SweepRecord] = []
     for i, (eps, p) in enumerate(zip(cfg.epsilon_grid, ps)):
         coord = window_coord(p, cfg.n, p_hat)
@@ -220,10 +205,9 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float) -> list[SweepRecord]:
             continue
 
         triangle = None
-        if flags.triangle:
-            chi_pt = float(np.mean(st.chi)) if flags.chi else float("nan")
-            triangle = triangle_diagram_hat(two_point_profile(dim, st.census), chi_pt,
-                                            cfg.k1, cfg.k2, p=p)
+        if triangle_on:
+            triangle = triangle_diagram_hat(two_point_profile(dim, st.census),
+                                            float(np.mean(st.chi)), cfg.k1, cfg.k2, p=p)
 
         records.append(SweepRecord(
             epsilon=eps,
@@ -231,13 +215,12 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float) -> list[SweepRecord]:
             p=p,
             regime=coord.regime,
             skipped=False,
-            chi=Estimate.from_samples(st.chi) if flags.chi else None,
-            cmax_mean=float(np.mean(st.cmax)) if flags.cmax else math.nan,
-            cmax_median=float(np.median(st.cmax)) if flags.cmax else math.nan,
-            c2_mean=float(np.mean(st.c2)) if flags.c2 else math.nan,
-            theta=Estimate.from_samples(st.z_geq / dim.volume)
-            if flags.theta and st.z_geq is not None else None,
-            z_geq=Estimate.from_samples(st.z_geq) if flags.z and st.z_geq is not None else None,
+            chi=Estimate.from_samples(st.chi),
+            cmax_mean=float(np.mean(st.cmax)),
+            cmax_median=float(np.median(st.cmax)),
+            c2_mean=float(np.mean(st.c2)),
+            theta=Estimate.from_samples(st.z_geq / dim.volume) if st.z_geq is not None else None,
+            z_geq=Estimate.from_samples(st.z_geq) if st.z_geq is not None else None,
             n_alpha_cut=cuts.get(i),
             ref_below=ref_below,
             ref_inside=ref_inside,
@@ -248,7 +231,7 @@ def run_sweep(cfg: SweepConfig, pc: PcResult | float) -> list[SweepRecord]:
 
 
 def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
-                          pc: PcResult | float) -> SprinkleReport:
+                          p_hat: float) -> SprinkleReport:
     """Two-layer merge: base graph at p_minus, independent sprinkle at eps/(2n).
 
     M counts the vertices of the base graph lying in components of size at
@@ -258,7 +241,7 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     dim = CubeDim(n)
-    p = _p_hat(n, pc) + eps / n
+    p = p_hat + eps / n
     if p > 1.0:
         raise ValueError(f"eps pushes p = p_hat + eps/n = {p} above 1")
     p_minus = sprinkle_split(n, p, eps)  # checks eps > 0 and p >= eps/(2n)
@@ -278,7 +261,7 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
 
 
 def duality_experiment(n: int, eps: float, replicates: int, master_seed: int,
-                       pc: PcResult | float) -> DualityReport:
+                       p_hat: float) -> DualityReport:
     """Second-largest cluster at p_hat + eps/n vs largest at p_hat - eps/n.
 
     Matched replicate seeds on both sides.  Report-only: the ratio of means
@@ -289,7 +272,6 @@ def duality_experiment(n: int, eps: float, replicates: int, master_seed: int,
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     dim = CubeDim(n)
-    p_hat = _p_hat(n, pc)
     p_above = p_hat + eps / n
     p_below = p_hat - eps / n
     if p_below < 0.0 or p_above > 1.0:
@@ -353,13 +335,13 @@ def regime_summary(records: list[SweepRecord], duality: DualityReport | None = N
         for rec in records:
             if rec.skipped or rec.regime != regime:
                 continue
-            if kind == "cmax_below" and not math.isnan(rec.cmax_mean) and math.isfinite(rec.ref_below):
+            if kind == "cmax_below" and math.isfinite(rec.ref_below):
                 ratios.append(rec.cmax_mean / rec.ref_below)
-            elif kind == "cmax_inside" and not math.isnan(rec.cmax_mean):
+            elif kind == "cmax_inside":
                 ratios.append(rec.cmax_mean / rec.ref_inside)
-            elif kind == "cmax_above" and not math.isnan(rec.cmax_mean) and rec.ref_above > 0:
+            elif kind == "cmax_above" and rec.ref_above > 0:
                 ratios.append(rec.cmax_mean / rec.ref_above)
-            elif kind == "chi_above" and rec.chi is not None and rec.epsilon > 0:
+            elif kind == "chi_above" and rec.epsilon > 0:
                 # 4 eps^2 V as 2 eps ref_above, exact since ref_above = 2 eps V
                 ratios.append(rec.chi.mean / (2.0 * rec.epsilon * rec.ref_above))
         if ratios:

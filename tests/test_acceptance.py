@@ -162,7 +162,7 @@ def test_criterion_8_supercritical_giant_and_sprinkling(pc16):
         merge_ok = 0
         ratio_ok = 0
         for s in range(seeds):
-            rep = sprinkling_experiment(n, eps, alpha, SeedSpec(801, s), pc16)
+            rep = sprinkling_experiment(n, eps, alpha, SeedSpec(801, s), pc16.p_hat)
             assert rep.cmax_after <= 28 * eps * v
             assert rep.cmax_after >= rep.cmax_before
             if rep.M > 0 and 3 * rep.cmax_after >= rep.M:
@@ -200,15 +200,15 @@ def test_criterion_10_report_only_quantities(pc14):
         # eps = 0.45 keeps both grid points outside the default window band
         # (|Lambda| = 0.45 * 2^(14/3) = 11.4 > 10), so the summary carries
         # genuine below- and above-window sections.
-        dual = duality_experiment(n, 0.45, 50, 1001, pc14)
+        dual = duality_experiment(n, 0.45, 50, 1001, pc14.p_hat)
         cfg = SweepConfig(n=n, epsilon_grid=(-0.45, 0.45), replicates=60,
                           master_seed=1002)
-        records = run_sweep(cfg, pc14)
+        records = run_sweep(cfg, pc14.p_hat)
 
         # the triangle at p_hat itself: eps = 0, K1 = K2 = 1
         tri_cfg = SweepConfig(n=n, epsilon_grid=(0.0,), replicates=30, master_seed=1003,
                               observables=ObservableFlags(triangle=True))
-        triangle = run_sweep(tri_cfg, pc14)[0].triangle
+        triangle = run_sweep(tri_cfg, pc14.p_hat)[0].triangle
 
         summary = regime_summary(records, duality=dual, triangle=triangle)
         assert summary.duality_ratio is not None

@@ -101,14 +101,33 @@ def test_largest_n_passes_the_cap(tmp_path, capsys):
     assert "density 2.0 outside [0, 1]" in capsys.readouterr().err
 
 
+_TINY_BUDGET = ["--max-bisections", "1", "--replicates-start", "8", "--replicates-cap", "8"]
+
+
 def test_unconverged_solver_exits_3(tmp_path):
     out = tmp_path / "pc"
-    code = parse_and_dispatch(["pc-solve", "--n", "6", "--max-bisections", "1",
-                               "--replicates-start", "8", "--replicates-cap", "8",
-                               "--out", str(out)])
+    code = parse_and_dispatch(["pc-solve", "--n", "6", *_TINY_BUDGET, "--out", str(out)])
     assert code == EXIT_UNCONVERGED
     # partial trace still emitted
     assert len(_read_csv(out / "pc_trace.csv")) == 2
+
+
+# a driver whose threshold solve does not converge exits 3 as pc-solve does
+@pytest.mark.parametrize("argv, code, message", [
+    (["triangle", "--n", "6", "--p", "2"], EXIT_USAGE, "density 2.0 outside [0, 1]"),
+    (["oracle", "--n", "2", "--p", "2"], EXIT_USAGE, "p must lie in [0, 1]"),
+    (["duality", "--n", "6", "--eps", "5", "--pc", "0.2"], EXIT_USAGE, "outside [0, 1]"),
+    (["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1", "--pc", "0.12"], EXIT_USAGE,
+     "above 1"),
+    (["pc-solve", "--n", "6", "--lambda", "-1"], EXIT_USAGE, "lambda must be positive"),
+    (["sweep", "--n", "6", "--eps", "0", *_TINY_BUDGET], EXIT_UNCONVERGED,
+     "threshold solver did not converge"),
+], ids=["triangle", "oracle", "duality", "sprinkle", "pc-solve", "sweep"])
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code, message):
+    out = tmp_path / "out"
+    assert parse_and_dispatch(argv + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pc_solve_writes_result_and_trace(tmp_path, capsys):
@@ -147,8 +166,7 @@ def test_sweep_writes_triangle_when_asked(tmp_path):
     plain, tri = tmp_path / "plain", tmp_path / "tri"
     assert parse_and_dispatch(base + ["--out", str(plain)]) == EXIT_OK
     assert not (plain / "triangle.csv").exists()
-    assert parse_and_dispatch(base + ["--observables", "chi,cmax,c2,theta,z,triangle",
-                                      "--out", str(tri)]) == EXIT_OK
+    assert parse_and_dispatch(base + ["--triangle", "true", "--out", str(tri)]) == EXIT_OK
     for name in ("sweep.csv", "regime_summary.csv"):
         assert (tri / name).read_bytes() == (plain / name).read_bytes()
     rows = _read_csv(tri / "triangle.csv")
@@ -158,6 +176,21 @@ def test_sweep_writes_triangle_when_asked(tmp_path):
     assert all(float(r[1]) >= 1.0 for r in rows[1:])
     assert "outputs = sweep.csv,regime_summary.csv,triangle.csv" in \
         (tri / "manifest.txt").read_text()
+    # the same switch from a config file
+    config = tmp_path / "tri.cfg"
+    config.write_text("triangle = true\n")
+    cfg_tri = tmp_path / "cfg_tri"
+    assert parse_and_dispatch(base + ["--config", str(config), "--out", str(cfg_tri)]) == EXIT_OK
+    assert (cfg_tri / "triangle.csv").read_bytes() == (tri / "triangle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--observables", "chi"], ["--triangle", "maybe"]])
+def test_sweep_refuses_unknown_observable_switches(tmp_path, capsys, flag):
+    out = tmp_path / "sweep"
+    code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "0", "--pc", "0.2", *flag,
+                               "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_config_file_and_precedence(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cubeperc.clusters import label_components, top_two
-from cubeperc.critical import PcResult, pc_expansion_reference
+from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
 from cubeperc.experiments import (
     SPRINKLE_SALT,
@@ -19,13 +19,8 @@ from cubeperc.experiments import (
     sprinkling_experiment,
 )
 from cubeperc.gen import SeedSpec, sample_subgraph
-from cubeperc.stats import Estimate
 
 from _reference import enumerate_observables, union_graphs
-
-
-def _pc_stub(n, p_hat, lam=1.0):
-    return PcResult(n, lam, p_hat, 0.0, 0, Estimate(float("nan"), 0.0, 1), True)
 
 
 def test_exact_enumerate_small_cases():
@@ -54,10 +49,15 @@ def test_exact_enumerate_small_cases():
 def test_sweep_row_count_and_skips():
     cfg = SweepConfig(n=6, epsilon_grid=(-20.0, -0.3, 0.0, 0.3), replicates=10,
                       master_seed=4)
-    records = run_sweep(cfg, pc=_pc_stub(6, 0.3))
+    records = run_sweep(cfg, p_hat=0.3)
     assert len(records) == 4
     assert records[0].skipped  # p = 0.3 - 20/6 < 0
     assert not records[1].skipped
+    for rec in records[1:]:
+        assert rec.chi is not None
+        assert not any(math.isnan(v) for v in (rec.cmax_mean, rec.cmax_median, rec.c2_mean))
+        # theta and z are measured above p_hat only
+        assert (rec.theta is not None) == (rec.z_geq is not None) == (rec.p > 0.3)
     inside = records[2]
     assert inside.p == pytest.approx(0.3)
     assert inside.epsilon == 0.0
@@ -76,20 +76,19 @@ def test_sweep_refuses_an_empty_grid():
 def test_sweep_ladder_matches_one_density_sweeps():
     # one replicate_stats call serves an unsorted grid with a repeated value
     # and two skipped rows (p below 0 and above 1); rows stay in grid order
-    pc = _pc_stub(7, 0.2)
+    p_hat = 0.2
     cfg = SweepConfig(n=7, epsilon_grid=(0.4, -0.3, 50.0, 0.0, 0.4, -2.0, 1.1), replicates=6,
                       master_seed=12, observables=ObservableFlags(triangle=True))
-    ladder = run_sweep(cfg, pc)
-    single = [run_sweep(dataclasses.replace(cfg, epsilon_grid=(eps,)), pc)[0]
+    ladder = run_sweep(cfg, p_hat)
+    single = [run_sweep(dataclasses.replace(cfg, epsilon_grid=(eps,)), p_hat)[0]
               for eps in cfg.epsilon_grid]
     assert [r.skipped for r in ladder] == [False, False, True, False, False, True, False]
     assert [repr(r) for r in ladder] == [repr(r) for r in single]
 
 
 def test_sweep_reference_values():
-    cfg = SweepConfig(n=16, epsilon_grid=(-0.3,), replicates=1, master_seed=0,
-                      observables=ObservableFlags(chi=False, theta=False, z=False))
-    rec = run_sweep(cfg, pc=_pc_stub(16, 0.0673))[0]
+    cfg = SweepConfig(n=16, epsilon_grid=(-0.3,), replicates=1, master_seed=0)
+    rec = run_sweep(cfg, p_hat=0.0673)[0]
     assert rec.ref_below == pytest.approx(2 * 16 * math.log(2) / 0.09, rel=1e-12)
     assert rec.ref_below == pytest.approx(246.45, abs=0.01)
     assert rec.ref_above == pytest.approx(2 * (-0.3) * 65536)
@@ -98,7 +97,7 @@ def test_sweep_reference_values():
 def test_sweep_coupled_rows_monotone_cmax():
     cfg = SweepConfig(n=8, epsilon_grid=(-0.5, 0.0, 0.5, 1.0), replicates=12,
                       master_seed=11)
-    records = run_sweep(cfg, pc=_pc_stub(8, 0.15))
+    records = run_sweep(cfg, p_hat=0.15)
     dim = CubeDim(8)
     for r in range(12):
         per_row = []
@@ -108,44 +107,11 @@ def test_sweep_coupled_rows_monotone_cmax():
         assert per_row == sorted(per_row)
 
 
-def test_sweep_observable_flags():
-    flags = ObservableFlags(chi=False, cmax=True, c2=True, theta=False, z=False)
-    cfg = SweepConfig(n=5, epsilon_grid=(0.2,), replicates=5, master_seed=1,
-                      observables=flags)
-    rec = run_sweep(cfg, pc=_pc_stub(5, 0.2))[0]
-    assert rec.chi is None and rec.theta is None and rec.z_geq is None
-    assert not math.isnan(rec.cmax_mean)
-    # each flag of a pair fills only its own fields, with the values of both
-    full = run_sweep(SweepConfig(n=5, epsilon_grid=(0.2,), replicates=5, master_seed=1), 0.2)[0]
-    for only, filled in (("theta", "theta"), ("z", "z_geq"), ("cmax", "cmax_mean"),
-                         ("c2", "c2_mean")):
-        flags = ObservableFlags(**{k: k == only for k in ("chi", "cmax", "c2", "theta", "z")})
-        rec = run_sweep(SweepConfig(n=5, epsilon_grid=(0.2,), replicates=5, master_seed=1,
-                                    observables=flags), 0.2)[0]
-        assert getattr(rec, filled) == getattr(full, filled)
-        assert (rec.theta is None) == (only != "theta")
-        assert (rec.z_geq is None) == (only != "z")
-        assert math.isnan(rec.cmax_mean) == math.isnan(rec.cmax_median) == (only != "cmax")
-        assert math.isnan(rec.c2_mean) == (only != "c2")
-
-
-def test_threshold_as_float_or_result():
-    cfg = SweepConfig(n=6, epsilon_grid=(-0.3, 0.4), replicates=4, master_seed=2)
-    assert run_sweep(cfg, 0.2) == run_sweep(cfg, _pc_stub(6, 0.2))
-    assert duality_experiment(6, 0.3, 3, 1, 0.2) == duality_experiment(6, 0.3, 3, 1,
-                                                                      _pc_stub(6, 0.2))
-    for call in (lambda pc: run_sweep(cfg, pc),
-                 lambda pc: sprinkling_experiment(6, 0.3, 0.5, SeedSpec(0), pc),
-                 lambda pc: duality_experiment(6, 0.3, 3, 1, pc)):
-        with pytest.raises(ValueError, match="different dimension"):
-            call(_pc_stub(7, 0.2))
-
-
 def test_sweep_triangle_observable():
     flags = ObservableFlags(triangle=True)
     cfg = SweepConfig(n=5, epsilon_grid=(0.1,), replicates=5, master_seed=2,
                       observables=flags)
-    rec = run_sweep(cfg, pc=_pc_stub(5, 0.2))[0]
+    rec = run_sweep(cfg, p_hat=0.2)[0]
     assert rec.triangle is not None
     assert rec.triangle.nabla_diag >= 1.0
     assert rec.triangle.a0 > 0
@@ -153,9 +119,9 @@ def test_sweep_triangle_observable():
 
 def test_sprinkling_base_layer_reproducible():
     # the base layer of the experiment equals a plain sample at p_minus
-    pc = _pc_stub(10, 0.1)
+    p_hat = 0.1
     seed = SeedSpec(42, 7)
-    report = sprinkling_experiment(10, 0.4, 0.5, seed, pc)
+    report = sprinkling_experiment(10, 0.4, 0.5, seed, p_hat)
     dim = CubeDim(10)
     plain = label_components(sample_subgraph(dim, report.p_minus, seed))
     assert report.cmax_before == top_two(plain)[0]
@@ -171,10 +137,10 @@ def test_sprinkling_join_matches_cold_union_labeling(n):
     # the experiment joins the sprinkle onto the base labeling; the union of
     # both layers, labeled cold, must give the same two largest clusters
     dim = CubeDim(n)
-    pc = _pc_stub(n, pc_expansion_reference(n))
+    p_hat = pc_expansion_reference(n)
     for master, replicate in ((1, 0), (5, 3), (17, 2), (2026, 0)):
         seed = SeedSpec(master, replicate)
-        report = sprinkling_experiment(n, 1.0, 0.5, seed, pc)
+        report = sprinkling_experiment(n, 1.0, 0.5, seed, p_hat)
         base = sample_subgraph(dim, report.p_minus, seed)
         sprinkle = sample_subgraph(dim, 1.0 / (2 * n),
                                    SeedSpec(master ^ SPRINKLE_SALT, replicate))
@@ -183,8 +149,8 @@ def test_sprinkling_join_matches_cold_union_labeling(n):
 
 
 def test_sprinkling_counts_moderately_large_components():
-    pc = _pc_stub(8, 0.12)
-    report = sprinkling_experiment(8, 0.5, 0.5, SeedSpec(3, 0), pc)
+    p_hat = 0.12
+    report = sprinkling_experiment(8, 0.5, 0.5, SeedSpec(3, 0), p_hat)
     dim = CubeDim(8)
     lab = label_components(sample_subgraph(dim, report.p_minus, SeedSpec(3, 0)))
     threshold = math.ceil(2.0 ** (0.5 * 8 / 3))
@@ -195,31 +161,31 @@ def test_sprinkling_counts_moderately_large_components():
 
 
 def test_sprinkling_validation():
-    pc = _pc_stub(8, 0.12)
+    p_hat = 0.12
     with pytest.raises(ValueError):
-        sprinkling_experiment(8, -0.1, 0.5, SeedSpec(0), pc)
+        sprinkling_experiment(8, -0.1, 0.5, SeedSpec(0), p_hat)
     with pytest.raises(ValueError):
-        sprinkling_experiment(8, 0.5, 1.5, SeedSpec(0), pc)
+        sprinkling_experiment(8, 0.5, 1.5, SeedSpec(0), p_hat)
     # p = p_hat + eps/n above 1 is rejected, not clamped; p = 1 itself is allowed
     with pytest.raises(ValueError, match="above 1"):
-        sprinkling_experiment(8, 7.5, 0.5, SeedSpec(0), _pc_stub(8, 0.1))
-    assert sprinkling_experiment(4, 2.0, 0.5, SeedSpec(0), _pc_stub(4, 0.5)).p == 1.0
+        sprinkling_experiment(8, 7.5, 0.5, SeedSpec(0), 0.1)
+    assert sprinkling_experiment(4, 2.0, 0.5, SeedSpec(0), 0.5).p == 1.0
 
 
 def test_duality_edges():
-    pc = _pc_stub(6, 0.5)
-    report = duality_experiment(6, 3.0, 5, 21, pc)  # p_above = 1.0, p_below = 0.0
+    p_hat = 0.5
+    report = duality_experiment(6, 3.0, 5, 21, p_hat)  # p_above = 1.0, p_below = 0.0
     assert report.p_above == pytest.approx(1.0)
     assert all(c2 == 0 for c2 in report.c2_above)
     assert all(cm == 1 for cm in report.cmax_below)
     assert report.ratio_of_means == 0.0
     with pytest.raises(ValueError):
-        duality_experiment(6, 4.0, 5, 21, pc)
+        duality_experiment(6, 4.0, 5, 21, p_hat)
 
 
 def test_regime_summary_sections():
     cfg = SweepConfig(n=10, epsilon_grid=(-1.0, 0.0, 1.0), replicates=8, master_seed=6)
-    records = run_sweep(cfg, pc=_pc_stub(10, 0.105))
+    records = run_sweep(cfg, p_hat=0.105)
     summary = regime_summary(records)
     regimes = {e.regime for e in summary.entries}
     assert "below" in regimes and "inside" in regimes and "above" in regimes
@@ -245,7 +211,7 @@ def test_regime_summary_uses_exact_volume():
 
 def test_regime_summary_single_inside_row():
     cfg = SweepConfig(n=6, epsilon_grid=(0.0,), replicates=4, master_seed=3)
-    records = run_sweep(cfg, pc=_pc_stub(6, 0.2))
+    records = run_sweep(cfg, p_hat=0.2)
     summary = regime_summary(records)
     assert len(summary.entries) == 1
     entry = summary.entries[0]
