@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .cube import (  # noqa: F401
     CubeDim,
     PathList,
-    VertexSet,
     ball_volume_exact,
     disjoint_short_paths,
     hamming_ball,

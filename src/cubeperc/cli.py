@@ -103,27 +103,23 @@ OPTIONS: dict[str, list[Option]] = {
         Option("eps", _float_list, None, "comma-separated epsilon grid", required=True),
         Option("replicates", int, 200, "replicates per grid point"),
         Option("triangle", _bool, False, "also write triangle.csv: true or false"),
-        Option("k1", float, 1.0, "triangle bound constant K1"),
-        Option("k2", float, 1.0, "triangle bound constant K2"),
     ],
     "sprinkle": _COMMON + _SOLVER + _PC + [
         _N,
-        Option("eps", float, 0.3, "distance above the threshold in window units"),
+        Option("eps", float, 0.3, "eps = n(p - p_hat) of the merged density, > 0"),
         Option("alpha", float, DEFAULT_ALPHA, "component-size exponent"),
         Option("seeds", int, 100, "number of independent repetitions"),
     ],
     "duality": _COMMON + _SOLVER + _PC + [
         _N,
-        Option("eps", float, 0.3, "mirror distance from the threshold"),
+        Option("eps", float, 0.3, "eps = n(p - p_hat) of the upper side, mirrored below"),
         Option("replicates", int, 100, "matched replicates per side"),
     ],
     "triangle": _COMMON + _SOLVER + _PC + [
         _N,
         Option("p", float, None, "density (overrides eps)"),
-        Option("eps", float, 0.0, "density offset from the solved threshold"),
+        Option("eps", float, 0.0, "eps = n(p - p_hat), the density's offset"),
         Option("replicates", int, 50, "replicates for the two-point profile"),
-        Option("k1", float, 1.0, "triangle bound constant K1"),
-        Option("k2", float, 1.0, "triangle bound constant K2"),
     ],
     "oracle": _COMMON + [
         Option("n", int, None, "cube dimension (1..3)", required=True),
@@ -241,6 +237,9 @@ def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
     for opt in options:
         if opt.required and merged[_key(opt.name)] is None:
             raise UsageError(f"--{opt.name} is required for {subcommand}")
+    for key in ("replicates", "seeds"):
+        if key in merged and merged[key] < 1:
+            raise UsageError(f"--{key} must be >= 1, got {merged[key]}")
     pc = merged.get("pc")
     if pc is not None and not 0.0 <= pc <= 1.0:
         raise UsageError(f"--pc {pc} is not a density: it must be finite and lie in [0, 1]")
@@ -302,8 +301,7 @@ def _cmd_pc_solve(cfg: dict[str, Any]) -> Run:
 def _cmd_sweep(cfg: dict[str, Any]) -> Run:
     sweep_cfg = SweepConfig(n=cfg["n"], alpha=cfg["alpha"], epsilon_grid=cfg["eps"],
                             replicates=cfg["replicates"], master_seed=cfg["seed"],
-                            observables=ObservableFlags(triangle=cfg["triangle"]),
-                            k1=cfg["k1"], k2=cfg["k2"])
+                            observables=ObservableFlags(triangle=cfg["triangle"]))
     records = run_sweep(sweep_cfg, _p_hat(cfg))
     summary = regime_summary(records)
     tables = {"sweep.csv": (reports.SWEEP_HEADER, reports.sweep_rows(records)),
@@ -315,8 +313,6 @@ def _cmd_sweep(cfg: dict[str, Any]) -> Run:
 
 
 def _cmd_sprinkle(cfg: dict[str, Any]) -> Run:
-    if cfg["seeds"] < 1:
-        raise UsageError("--seeds must be >= 1")
     p_hat = _p_hat(cfg)
     runs = []
     for r in range(cfg["seeds"]):
@@ -342,10 +338,9 @@ def _cmd_triangle(cfg: dict[str, Any]) -> Run:
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"density {p} outside [0, 1]")
     dim = CubeDim(cfg["n"])
-    (st,) = replicate_stats(dim, (p,), cfg["seed"], range(cfg["replicates"]), chi=True,
-                            census=True)
+    (st,) = replicate_stats(dim, (p,), cfg["seed"], range(cfg["replicates"]), census=True)
     profile = two_point_profile(dim, st.census)
-    report = triangle_diagram_hat(profile, float(st.chi.mean()), cfg["k1"], cfg["k2"], p=p)
+    report = triangle_diagram_hat(profile, float(st.chi.mean()), p=p)
     return Run({"two_point.csv": (reports.PROFILE_HEADER, reports.profile_rows(profile)),
                 "triangle.csv": (reports.TRIANGLE_HEADER, reports.triangle_rows([report]))},
                [f"p={p:.6f} nabla_diag={report.nabla_diag:.6f} "
@@ -355,7 +350,7 @@ def _cmd_triangle(cfg: dict[str, Any]) -> Run:
 def _cmd_oracle(cfg: dict[str, Any]) -> Run:
     oracle = exact_enumerate(cfg["n"], cfg["p"])
     (st,) = replicate_stats(CubeDim(cfg["n"]), (cfg["p"],), cfg["seed"],
-                            range(cfg["replicates"]), chi=True)
+                            range(cfg["replicates"]))
     mc = Estimate.from_samples(st.chi)
     gap = abs(mc.mean - oracle.chi_exact)
     sigmas = gap / mc.std_error if mc.std_error > 0 else 0.0

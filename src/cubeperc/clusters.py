@@ -72,20 +72,21 @@ def _jump_all(parent: np.ndarray) -> np.ndarray:
     return buf
 
 
-def label_components(graph: OccupiedGraph, start: ClusterLabeling | None = None) -> ClusterLabeling:
+def label_components(graph: OccupiedGraph, start: np.ndarray | None = None) -> ClusterLabeling:
     """Hook-and-jump labeling of `graph`'s occupied edges, joined onto `start`.
 
-    `start`, if given, is any partition of the cube that labels each block by
-    its smallest vertex (root_of[v] <= v, root_of[root_of] == root_of; sizes
-    are not read), such as one layer's labeling when the graph is the other.
+    `start`, if given, is the root array of any partition of the cube that
+    labels each block by its smallest vertex (start[v] <= v,
+    start[start] == start), such as one layer's `root_of` when the graph is
+    the other.
     """
     if start is not None:
-        if start.dim != graph.dim:
-            raise ValueError("start labeling is for a different dimension")
-        if (start.root_of > np.arange(graph.dim.volume, dtype=np.int32)).any():
-            raise ValueError("start labeling has a root above its vertex")
-        if (start.root_of.take(start.root_of) != start.root_of).any():
-            raise ValueError("start labeling has a root that is not its own root")
+        if start.shape != (graph.dim.volume,):
+            raise ValueError(f"start must be a root array of shape ({graph.dim.volume},)")
+        if (start > np.arange(graph.dim.volume, dtype=np.int32)).any():
+            raise ValueError("start has a root above its vertex")
+        if (start.take(start) != start).any():
+            raise ValueError("start has a root that is not its own root")
     shift = graph.dim.n - 1
     # flat edge id -> direction d = id >> (n-1) and plane index i; the lower
     # endpoint inserts a zero bit at d into i: lo = i + (i & -(1 << d))
@@ -99,7 +100,7 @@ def label_components(graph: OccupiedGraph, start: ClusterLabeling | None = None)
         parent = np.arange(graph.dim.volume)
     else:
         # the edges as pairs of start roots, the smaller first
-        parent = start.root_of.astype(np.intp)
+        parent = start.astype(np.intp)
         a = parent[lo]
         del lo
         b = parent[hi]

@@ -92,7 +92,7 @@ def _evaluate_midpoint(dim: CubeDim, p: float, target: float,
     samples = np.empty(0)
     level = schedule.initial
     while True:
-        (more,) = replicate_stats(dim, (p,), master_seed, range(samples.size, level), chi=True)
+        (more,) = replicate_stats(dim, (p,), master_seed, range(samples.size, level))
         samples = np.concatenate([samples, more.chi])
         est = Estimate.from_samples(samples)
         if abs(est.mean - target) > CONFIDENCE_Z * est.std_error:
@@ -150,7 +150,7 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
     # interval stays commensurate with the susceptibility variation across
     # the terminal bracket; a huge count would resolve the O(tol_p) bias
     # instead of the target.
-    (final,) = replicate_stats(dim, (p_hat,), master_seed, range(schedule.initial), chi=True)
+    (final,) = replicate_stats(dim, (p_hat,), master_seed, range(schedule.initial))
     chi_final = Estimate.from_samples(final.chi)
     total += chi_final.replicates
     return PcResult(dim.n, lam, p_hat, 0.5 * (hi - lo), total, chi_final, converged,

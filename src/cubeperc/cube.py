@@ -2,7 +2,8 @@
 
 Vertices are the integers 0..2^n-1.  Flipping coordinate i is XOR with
 1 << i, so graph distance is the popcount of the XOR of two vertices and
-no adjacency structure is ever stored.  Everything in this module is exact
+no adjacency structure is ever stored.  A vertex set is a boolean mask of
+shape (2^n,).  Everything in this module is exact
 and pure: no randomness, no shared mutable state.
 """
 
@@ -10,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 MAX_DIMENSION = 28
@@ -19,7 +18,6 @@ MAX_DIMENSION = 28
 __all__ = [
     "MAX_DIMENSION",
     "CubeDim",
-    "VertexSet",
     "PathList",
     "hamming_distance",
     "ball_volume_exact",
@@ -52,66 +50,6 @@ class CubeDim:
 
 def hamming_distance(u: int, v: int) -> int:
     return (u ^ v).bit_count()
-
-
-class VertexSet:
-    """A set of cube vertices: O(1) membership, cached cardinality.
-
-    Backed by a boolean mask over all 2^n vertices, so it is meant for the
-    small dimensions (n <= ~16) where explicit sets fit comfortably.
-    """
-
-    __slots__ = ("dim", "_mask", "_size")
-
-    def __init__(self, dim: CubeDim, members: Iterable[int]) -> None:
-        mask = np.zeros(dim.volume, dtype=bool)
-        idx = np.asarray(list(members), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= dim.volume:
-                raise ValueError("vertex out of range")
-            mask[idx] = True
-        self.dim = dim
-        self._mask = mask
-        self._mask.setflags(write=False)
-        self._size = int(mask.sum())
-
-    @classmethod
-    def from_mask(cls, dim: CubeDim, mask: np.ndarray) -> "VertexSet":
-        if mask.shape != (dim.volume,) or mask.dtype != bool:
-            raise ValueError("mask must be a boolean array over all vertices")
-        obj = cls.__new__(cls)
-        obj.dim = dim
-        obj._mask = mask.copy()
-        obj._mask.setflags(write=False)
-        obj._size = int(mask.sum())
-        return obj
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self._mask
-
-    def members(self) -> np.ndarray:
-        """Member vertices in ascending order."""
-        return np.flatnonzero(self._mask)
-
-    def intersect(self, other: "VertexSet") -> "VertexSet":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return VertexSet.from_mask(self.dim, self._mask & other._mask)
-
-    def __contains__(self, v: int) -> bool:
-        return bool(self._mask[v])
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VertexSet):
-            return NotImplemented
-        return self.dim == other.dim and bool((self._mask == other._mask).all())
-
-    def __repr__(self) -> str:
-        return f"VertexSet(n={self.dim.n}, size={self._size})"
 
 
 @dataclass(frozen=True)
@@ -158,20 +96,24 @@ def _grow_once(dim: CubeDim, reached: np.ndarray) -> np.ndarray:
     return grown
 
 
-def hamming_ball(dim: CubeDim, x: VertexSet, d: int) -> VertexSet:
-    """All vertices within distance d of the set x, by breadth-first expansion."""
-    if x.dim != dim:
-        raise ValueError("dimension mismatch")
-    if len(x) == 0:
+def _check_set(dim: CubeDim, x: np.ndarray) -> None:
+    if not isinstance(x, np.ndarray) or x.shape != (dim.volume,) or x.dtype != bool:
+        raise ValueError(f"a vertex set must be a boolean mask of shape ({dim.volume},)")
+
+
+def hamming_ball(dim: CubeDim, x: np.ndarray, d: int) -> np.ndarray:
+    """All vertices within distance d of the vertex set x, by breadth-first expansion."""
+    _check_set(dim, x)
+    if not x.any():
         raise ValueError("ball around an empty set is undefined")
     if d < 0:
         raise ValueError("radius must be nonnegative")
-    reached = x.mask.copy()
+    reached = x.copy()
     for _ in range(min(d, dim.n)):
         if reached.all():
             break
         reached = _grow_once(dim, reached)
-    return VertexSet.from_mask(dim, reached)
+    return reached
 
 
 def _ceil_half(n: int, delta: float) -> int:
@@ -240,7 +182,7 @@ def _bfs_forest(dim: CubeDim, sources: np.ndarray, max_depth: int) -> tuple[np.n
     return dist, pred
 
 
-def disjoint_short_paths(dim: CubeDim, s: VertexSet, t: VertexSet, delta: int) -> PathList:
+def disjoint_short_paths(dim: CubeDim, s: np.ndarray, t: np.ndarray, delta: int) -> PathList:
     """Vertex-disjoint paths of length <= delta from members of t back into s.
 
     Construction: restrict t to the ball of radius delta around s, thin the
@@ -249,12 +191,14 @@ def disjoint_short_paths(dim: CubeDim, s: VertexSet, t: VertexSet, delta: int) -
     vertex by successive breadth-first searches that mark every used vertex.
     The achieved path count is reported as-is.
     """
-    if len(s) == 0 or len(t) == 0:
+    _check_set(dim, s)
+    _check_set(dim, t)
+    if not s.any() or not t.any():
         raise ValueError("both endpoint sets must be nonempty")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
 
-    t1_mask = hamming_ball(dim, s, delta).mask & t.mask
+    t1_mask = hamming_ball(dim, s, delta) & t
     if not t1_mask.any():
         return PathList(dim, delta, ())
 
@@ -275,7 +219,7 @@ def disjoint_short_paths(dim: CubeDim, s: VertexSet, t: VertexSet, delta: int) -
     # of its own head, and heads are more than 2*delta apart, so path vertex
     # sets cannot meet.  The used-set guard enforces disjointness anyway and
     # the achieved count is whatever survives it.
-    dist, pred = _bfs_forest(dim, s.members(), delta)
+    dist, pred = _bfs_forest(dim, np.flatnonzero(s), delta)
     used = np.zeros(dim.volume, dtype=bool)
     paths: list[tuple[int, ...]] = []
     for v in kept:

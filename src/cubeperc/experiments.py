@@ -62,8 +62,6 @@ class SweepConfig:
     replicates: int = 100
     master_seed: int = 0
     observables: ObservableFlags = field(default_factory=ObservableFlags)
-    k1: float = 1.0
-    k2: float = 1.0
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -86,9 +84,9 @@ class SweepRecord:
     regime: str
     skipped: bool
     chi: Estimate | None
-    cmax_mean: float
-    cmax_median: float
-    c2_mean: float
+    cmax_mean: float | None
+    cmax_median: float | None
+    c2_mean: float | None
     theta: Estimate | None
     z_geq: Estimate | None
     n_alpha_cut: float | None
@@ -191,8 +189,8 @@ def run_sweep(cfg: SweepConfig, p_hat: float) -> list[SweepRecord]:
             for i in live if cfg.epsilon_grid[i] > 0.0 and ps[i] > p_hat}
     z_at = [math.ceil(cuts[i]) if i in cuts else None for i in live]
     measured = dict(zip(live, replicate_stats(
-        dim, [ps[i] for i in live], cfg.master_seed, range(cfg.replicates), chi=True,
-        top=True, z_at=z_at, census=triangle_on)))
+        dim, [ps[i] for i in live], cfg.master_seed, range(cfg.replicates), z_at=z_at,
+        census=triangle_on)))
     records: list[SweepRecord] = []
     for i, (eps, p) in enumerate(zip(cfg.epsilon_grid, ps)):
         coord = window_coord(p, cfg.n, p_hat)
@@ -200,14 +198,14 @@ def run_sweep(cfg: SweepConfig, p_hat: float) -> list[SweepRecord]:
         st = measured.get(i)
         if st is None:
             records.append(SweepRecord(eps, coord.Lambda, p, coord.regime, True, None,
-                                       float("nan"), float("nan"), float("nan"),
-                                       None, None, None, ref_below, ref_inside, ref_above))
+                                       None, None, None, None, None, None,
+                                       ref_below, ref_inside, ref_above))
             continue
 
         triangle = None
         if triangle_on:
             triangle = triangle_diagram_hat(two_point_profile(dim, st.census),
-                                            float(np.mean(st.chi)), cfg.k1, cfg.k2, p=p)
+                                            float(np.mean(st.chi)), p=p)
 
         records.append(SweepRecord(
             epsilon=eps,
@@ -253,7 +251,7 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
     threshold = math.ceil(2.0 ** (alpha * n / 3.0))
     m_vertices = count_z_geq(lab_before, threshold)
     cmax_before, _ = top_two(lab_before)
-    lab_after = label_components(sprinkle, lab_before)  # base's blocks joined by the sprinkle
+    lab_after = label_components(sprinkle, lab_before.root_of)  # the sprinkle joins base's blocks
     cmax_after, c2_after = top_two(lab_after)
     merged = cmax_after / m_vertices if m_vertices > 0 else float("nan")
     return SprinkleReport(n, eps, alpha, p, p_minus, m_vertices,
@@ -276,8 +274,7 @@ def duality_experiment(n: int, eps: float, replicates: int, master_seed: int,
     p_below = p_hat - eps / n
     if p_below < 0.0 or p_above > 1.0:
         raise ValueError("eps pushes one side outside [0, 1]")
-    below, above = replicate_stats(dim, (p_below, p_above), master_seed, range(replicates),
-                                   top=True)
+    below, above = replicate_stats(dim, (p_below, p_above), master_seed, range(replicates))
     c2_above, cmax_below = above.c2, below.cmax
     ratio = float(np.mean(c2_above) / np.mean(cmax_below))
     return DualityReport(n, eps, p_above, p_below, tuple(c2_above.tolist()),

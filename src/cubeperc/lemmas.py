@@ -14,7 +14,6 @@ import numpy as np
 
 from .cube import (
     CubeDim,
-    VertexSet,
     ball_volume_exact,
     disjoint_short_paths,
     hamming_ball,
@@ -45,8 +44,10 @@ class SuiteResult:
         return self.violations == 0
 
 
-def _random_subset(rng: np.random.Generator, dim: CubeDim, size: int) -> VertexSet:
-    return VertexSet(dim, rng.choice(dim.volume, size=size, replace=False))
+def _random_subset(rng: np.random.Generator, dim: CubeDim, size: int) -> np.ndarray:
+    mask = np.zeros(dim.volume, dtype=bool)
+    mask[rng.choice(dim.volume, size=size, replace=False)] = True
+    return mask
 
 
 def run_harper_suite(n_max: int = 12, instances_per_n: int = 10_000, seed: int = 0) -> SuiteResult:
@@ -64,10 +65,10 @@ def run_harper_suite(n_max: int = 12, instances_per_n: int = 10_000, seed: int =
             x = _random_subset(rng, dim, ball_volume_exact(dim, u))
             grown = hamming_ball(dim, x, d)
             instances += 1
-            if len(grown) < ball_volume_exact(dim, u + d):
+            if grown.sum() < ball_volume_exact(dim, u + d):
                 violations += 1
                 if not first:
-                    first = f"n={n} u={u} d={d} |X|={len(x)} |B|={len(grown)}"
+                    first = f"n={n} u={u} d={d} |X|={x.sum()} |B|={grown.sum()}"
     return SuiteResult("harper-ball-growth", instances, violations, first)
 
 
@@ -110,12 +111,12 @@ def run_overlap_suite(n_max: int = 12, instances_per_n: int = 1_000, seed: int =
             s = _random_subset(rng, dim, size)
             t = _random_subset(rng, dim, size)
             delta = min_overlap_delta(dim, eps)
-            overlap = hamming_ball(dim, s, delta).intersect(t)
+            overlap = int((hamming_ball(dim, s, delta) & t).sum())
             instances += 1
-            if 2 * len(overlap) < len(t):
+            if 2 * overlap < size:
                 violations += 1
                 if not first:
-                    first = f"n={n} eps={eps:.4f} delta={delta} overlap={len(overlap)} |T|={len(t)}"
+                    first = f"n={n} eps={eps:.4f} delta={delta} overlap={overlap} |T|={size}"
     return SuiteResult("big-overlap", instances, violations, first)
 
 
@@ -156,13 +157,13 @@ def run_paths_suite(n_max: int = 10, instances_per_n: int = 100, seed: int = 0) 
     return SuiteResult("disjoint-short-paths", instances, violations, first)
 
 
-def _check_paths(dim: CubeDim, s: VertexSet, t: VertexSet, delta: int,
+def _check_paths(dim: CubeDim, s: np.ndarray, t: np.ndarray, delta: int,
                  paths: tuple[tuple[int, ...], ...]) -> str | None:
     seen: set[int] = set()
     for path in paths:
         if len(path) - 1 > delta:
             return f"path length {len(path) - 1} exceeds {delta}"
-        if path[0] not in t or path[-1] not in s:
+        if not t[path[0]] or not s[path[-1]]:
             return "path endpoints not in the required sets"
         for a, b in zip(path, path[1:]):
             if hamming_distance(a, b) != 1:

@@ -8,7 +8,6 @@ in CSV bodies, only in the run manifest.
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -101,10 +100,7 @@ def sweep_rows(records: list[SweepRecord]) -> list[list[Any]]:
         z_m, z_s = _est(rec.z_geq)
         rows.append([
             rec.epsilon, rec.Lambda, rec.p, rec.regime, rec.skipped,
-            chi_m, chi_s,
-            None if math.isnan(rec.cmax_mean) else rec.cmax_mean,
-            None if math.isnan(rec.cmax_median) else rec.cmax_median,
-            None if math.isnan(rec.c2_mean) else rec.c2_mean,
+            chi_m, chi_s, rec.cmax_mean, rec.cmax_median, rec.c2_mean,
             th_m, th_s, z_m, z_s, rec.n_alpha_cut,
             rec.ref_below, rec.ref_inside, rec.ref_above,
         ])

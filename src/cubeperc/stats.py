@@ -88,13 +88,18 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class ReplicateStats:
-    """Per-replicate statistics in replicate order, None where not asked for."""
+    """Per-replicate statistics in replicate order; z_geq and census are None unless asked for."""
 
-    chi: np.ndarray | None
-    cmax: np.ndarray | None
-    c2: np.ndarray | None
+    chi: np.ndarray
+    cmax: np.ndarray
+    c2: np.ndarray
     z_geq: np.ndarray | None
     census: np.ndarray | None
+
+
+# The constants of the triangle bound a0 = K1/n + K2 chi^3 / 2^n.
+TRIANGLE_K1 = 1.0
+TRIANGLE_K2 = 1.0
 
 
 @dataclass(frozen=True)
@@ -252,13 +257,7 @@ def pair_census(labeling: ClusterLabeling) -> np.ndarray:
     return counts
 
 
-# the sizes of a partition that is only joined onto, never reduced
-_NO_SIZES = np.zeros(0, dtype=np.int64)
-_NO_SIZES.setflags(write=False)
-
-
 def replicate_stats(dim: CubeDim, ps: Sequence[float], master_seed: int, replicates: range, *,
-                    chi: bool = False, top: bool = False,
                     z_at: Sequence[int | None] | None = None,
                     census: bool = False) -> list[ReplicateStats]:
     """Sample, label and reduce the replicates r in `replicates` at each density of ps.
@@ -271,9 +270,10 @@ def replicate_stats(dim: CubeDim, ps: Sequence[float], master_seed: int, replica
     later one is joined onto the labeling below it.  A smallest-vertex
     labeling does not depend on the order its edges arrive in, so each equals
     the cold labeling of sample_subgraph(dim, p, SeedSpec(master_seed, r)).
-    Only the reducers asked for run: `chi_sample` (chi), `top_two` (top: cmax
-    and c2), `count_z_geq` at each density's cutoff in `z_at`, None for none
-    (z_geq), and `pair_census` (census, one row per replicate).
+    `chi_sample` (chi) and `top_two` (cmax and c2) always run; the costly
+    reducers run only when asked for: `count_z_geq` at each density's cutoff
+    in `z_at`, None for none (z_geq), and `pair_census` (census, one row per
+    replicate).
     """
     if not ps:
         return []
@@ -285,29 +285,27 @@ def replicate_stats(dim: CubeDim, ps: Sequence[float], master_seed: int, replica
     rows = [([], [], [], []) for _ in ps]
     for r in replicates:
         layers = sample_layers(dim, ascending, SeedSpec(master_seed, r))
-        blocks = None
+        root_of = None
         for i in order:
             # no name holds the layer, so it is freed before the reducers run
-            lab = label_components(next(layers), blocks)
+            lab = label_components(next(layers), root_of)
             chis, tops, zs, censuses = rows[i]
-            if chi:
-                chis.append(chi_sample(lab))
-            if top:
-                tops.append(top_two(lab))
+            chis.append(chi_sample(lab))
+            tops.append(top_two(lab))
             if cutoffs[i] is not None:
                 zs.append(count_z_geq(lab, cutoffs[i]))
             if census:
                 censuses.append(pair_census(lab))
             # the next join reads only root_of: free the sizes before it runs
-            blocks = ClusterLabeling(dim, lab.root_of, _NO_SIZES, _NO_SIZES)
+            root_of = lab.root_of
             del lab
     out = []
     for (chis, tops, zs, censuses), cutoff in zip(rows, cutoffs):
         pairs = np.array(tops, dtype=np.int64).reshape(-1, 2)
         out.append(ReplicateStats(
-            chi=np.array(chis, dtype=np.float64) if chi else None,
-            cmax=pairs[:, 0] if top else None,
-            c2=pairs[:, 1] if top else None,
+            chi=np.array(chis, dtype=np.float64),
+            cmax=pairs[:, 0],
+            c2=pairs[:, 1],
             z_geq=np.array(zs, dtype=np.int64) if cutoff is not None else None,
             census=np.array(censuses, dtype=np.int64).reshape(-1, dim.n + 1) if census else None,
         ))
@@ -358,27 +356,28 @@ def radial_convolution(t1: RadialProfile, t2: RadialProfile) -> RadialProfile:
     return RadialProfile(t1.dim, values)
 
 
-def triangle_diagram_hat(profile: RadialProfile, chi: float, k1: float = 1.0,
-                         k2: float = 1.0, p: float = float("nan")) -> TriangleReport:
+def triangle_diagram_hat(profile: RadialProfile, chi: float,
+                         p: float = float("nan")) -> TriangleReport:
     """Triangle diagram from a radial two-point profile, with its bound a0.
 
     The diagram is the double convolution of the profile with itself; by
     vertex-transitivity its diagonal and off-diagonal maxima are read off
-    the radial result.  a0 = k1/n + k2 * chi^3 / 2^n.  The plug-in profile
-    is a product of correlated estimates, so the reported diagram carries a
-    small bias; it is reported as computed.
+    the radial result.  a0 = K1/n + K2 * chi^3 / 2^n with the constants
+    TRIANGLE_K1 and TRIANGLE_K2.  The plug-in profile is a product of
+    correlated estimates, so the reported diagram carries a small bias; it
+    is reported as computed.
     """
     tt = radial_convolution(profile, profile)
     nabla = radial_convolution(tt, profile).values
     n = profile.dim.n
-    a0 = k1 / n + k2 * chi**3 / profile.dim.volume
+    a0 = TRIANGLE_K1 / n + TRIANGLE_K2 * chi**3 / profile.dim.volume
     return TriangleReport(
         p=p,
         nabla_diag=float(nabla[0]),
         nabla_offdiag=float(nabla[1:].max()),
         a0=float(a0),
-        k1=k1,
-        k2=k2,
+        k1=TRIANGLE_K1,
+        k2=TRIANGLE_K2,
         chi_used=chi,
     )
 

@@ -37,7 +37,7 @@ from conftest import ACCEPTANCE_MASTER_SEED, criterion
 
 
 def _chi(n, p, replicates, master):
-    (st,) = replicate_stats(CubeDim(n), (p,), master, range(replicates), chi=True)
+    (st,) = replicate_stats(CubeDim(n), (p,), master, range(replicates))
     return Estimate.from_samples(st.chi)
 
 
@@ -130,7 +130,7 @@ def test_criterion_6_subcritical_regime(pc16):
         n, eps, replicates = 16, -0.3, 200
         p = pc16.p_hat + eps / n
         bound = 2.0 * (2.0 * n * math.log(2)) / eps**2
-        (st,) = replicate_stats(CubeDim(n), (p,), 601, range(replicates), top=True)
+        (st,) = replicate_stats(CubeDim(n), (p,), 601, range(replicates))
         cmax = st.cmax
         within = int((cmax <= bound).sum())
         assert within >= 0.95 * replicates, (within, replicates, bound)
@@ -142,8 +142,7 @@ def test_criterion_7_window_scaling(pc12, pc14, pc16):
         start = time.perf_counter()
         ratios = {}
         for pc in (pc12, pc14, pc16):
-            (st,) = replicate_stats(CubeDim(pc.n), (pc.p_hat,), 700 + pc.n, range(100),
-                                    top=True)
+            (st,) = replicate_stats(CubeDim(pc.n), (pc.p_hat,), 700 + pc.n, range(100))
             cmaxes = st.cmax
             ratios[pc.n] = float(np.median(cmaxes)) / 2.0 ** (2 * pc.n / 3)
             print(f"  n={pc.n}: median|Cmax|/V^(2/3) = {ratios[pc.n]:.4f}")
@@ -183,7 +182,7 @@ def test_criterion_9_monotone_coupling():
         for trial in range(1000):
             ps = np.sort(rng.uniform(0.0, 0.25, 3))
             # replicate `trial` at each p: one SeedSpec(902, trial), nested samples
-            st = [replicate_stats(dim, (p,), 902, range(trial, trial + 1), chi=True, top=True)[0]
+            st = [replicate_stats(dim, (p,), 902, range(trial, trial + 1))[0]
                   for p in ps.tolist()]
             cmaxes = [int(x.cmax[0]) for x in st]
             chis = [float(x.chi[0]) for x in st]

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cubeperc
+from cubeperc import cli
 from cubeperc.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -184,8 +185,13 @@ def test_sweep_writes_triangle_when_asked(tmp_path):
     assert (cfg_tri / "triangle.csv").read_bytes() == (tri / "triangle.csv").read_bytes()
 
 
-@pytest.mark.parametrize("flag", [["--observables", "chi"], ["--triangle", "maybe"]])
+@pytest.mark.parametrize("flag", [["--observables", "chi"], ["--triangle", "maybe"],
+                                  ["--k1", "2"], ["--config", "k1 = 2"]])
 def test_sweep_refuses_unknown_observable_switches(tmp_path, capsys, flag):
+    if flag[0] == "--config":
+        config = tmp_path / "run.cfg"
+        config.write_text(flag[1] + "\n")
+        flag = ["--config", str(config)]
     out = tmp_path / "sweep"
     code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "0", "--pc", "0.2", *flag,
                                "--out", str(out)])
@@ -280,11 +286,22 @@ def test_sweep_refuses_an_empty_grid(tmp_path, capsys):
     assert "epsilon grid is empty" in capsys.readouterr().err
 
 
-def test_sprinkle_refuses_zero_seeds(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["duality", "--n", "12", "--replicates", "0"],
+    ["triangle", "--n", "12", "--replicates", "0"],
+    ["sweep", "--n", "12", "--eps", "0", "--replicates", "-1"],
+    ["oracle", "--n", "2", "--p", "0.3", "--replicates", "0"],
+    ["sprinkle", "--n", "8", "--seeds", "0"],
+], ids=["duality", "triangle", "sweep", "oracle", "sprinkle"])
+def test_counts_below_one_are_refused_before_solving(tmp_path, capsys, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a threshold for a run with no replicates")
+
+    monkeypatch.setattr(cli, "solve_pc", no_solve)
     out = tmp_path / "none"
-    code = parse_and_dispatch(["sprinkle", "--n", "8", "--seeds", "0", "--out", str(out)])
-    assert code == EXIT_USAGE
-    assert not (out / "sprinkle.csv").exists()
+    assert parse_and_dispatch(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_triangle_command(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeperc.clusters import (
-    ClusterLabeling,
     count_z_geq,
     label_components,
     top_two,
@@ -114,7 +113,7 @@ def test_warm_start_matches_cold_and_bfs_reference(n, p, q, rep):
     dim = CubeDim(n)
     base = sample_subgraph(dim, p, SeedSpec(271, rep))
     union = union_graphs(base, sample_subgraph(dim, q, SeedSpec(828, rep)))
-    warm = label_components(union, start=label_components(base))
+    warm = label_components(union, start=label_components(base).root_of)
     cold = label_components(union)
     ref_label, ref_sizes = bfs_component_sizes(union)
     for lab in (warm, cold):
@@ -126,23 +125,21 @@ def test_warm_start_matches_cold_and_bfs_reference(n, p, q, rep):
 
 
 def test_warm_start_of_another_dimension_is_rejected():
-    start = label_components(sample_subgraph(CubeDim(5), 0.3, SeedSpec(1)))
-    with pytest.raises(ValueError):
+    start = label_components(sample_subgraph(CubeDim(5), 0.3, SeedSpec(1))).root_of
+    with pytest.raises(ValueError, match="shape"):
         label_components(sample_subgraph(CubeDim(6), 0.3, SeedSpec(1)), start=start)
 
 
-def _partition(dim, root_of):
-    """A start labeling with the given roots; its size fields follow the roots."""
-    root_of = np.asarray(root_of, dtype=np.int32)
-    size_by_root = np.bincount(root_of, minlength=dim.volume)
-    return ClusterLabeling(dim, root_of, size_by_root, np.sort(size_by_root[size_by_root > 0])[::-1])
+def _partition(root_of):
+    """A start root array with the given roots."""
+    return np.asarray(root_of, dtype=np.int32)
 
 
 def test_warm_start_with_a_root_above_its_vertex_is_rejected():
     # the fixed-point tests compare sums, which needs parent[v] <= v throughout
     dim = CubeDim(2)
     with pytest.raises(ValueError, match="root above its vertex"):
-        label_components(sample_subgraph(dim, 0.0, SeedSpec(0)), start=_partition(dim, [0, 2, 2, 3]))
+        label_components(sample_subgraph(dim, 0.0, SeedSpec(0)), start=_partition([0, 2, 2, 3]))
 
 
 def test_unresolved_warm_start_is_refused():
@@ -152,8 +149,8 @@ def test_unresolved_warm_start_is_refused():
     dim = CubeDim(3)
     edge = path_graph(dim, [1, 5])
     with pytest.raises(ValueError, match="not its own root"):
-        label_components(edge, start=_partition(dim, [0, 1, 2, 2, 4, 3, 6, 7]))
-    joined = label_components(edge, start=_partition(dim, [0, 1, 2, 2, 4, 2, 6, 7]))
+        label_components(edge, start=_partition([0, 1, 2, 2, 4, 3, 6, 7]))
+    joined = label_components(edge, start=_partition([0, 1, 2, 2, 4, 2, 6, 7]))
     assert joined.root_of.tolist() == [0, 1, 1, 1, 4, 1, 6, 7]
     assert joined.sizes_desc.tolist() == [4, 1, 1, 1, 1]
 
@@ -169,10 +166,10 @@ def test_join_matches_union_find_reference(n, blocks, q, seed):
     block = rng.integers(0, min(blocks, dim.volume), dim.volume)
     first = np.full(block.max() + 1, dim.volume)
     np.minimum.at(first, block, np.arange(dim.volume))
-    start = _partition(dim, first[block])
+    start = _partition(first[block])
     batch = OccupiedGraph(dim, rng.random((n, dim.volume // 2)) < q)
     lab = label_components(batch, start)
-    expected = union_find_join(start.root_of, batch)
+    expected = union_find_join(start, batch)
     assert np.array_equal(lab.root_of, expected)
     assert np.array_equal(lab.size_by_root, np.bincount(expected, minlength=dim.volume))
     assert lab.sizes_desc.tolist() == sorted(np.bincount(expected)[np.unique(expected)], reverse=True)
@@ -186,7 +183,8 @@ def test_warm_start_from_singletons_climbs_a_hooked_chain(n, path):
     # doubling over the hooked roots needs ceil(log2(len(path) - 1)) passes
     dim = CubeDim(n)
     g = path_graph(dim, path)
-    lab = label_components(g, start=label_components(sample_subgraph(dim, 0.0, SeedSpec(0))))
+    singletons = label_components(sample_subgraph(dim, 0.0, SeedSpec(0))).root_of
+    lab = label_components(g, start=singletons)
     ref_label, ref_sizes = bfs_component_sizes(g)
     assert np.array_equal(lab.root_of, ref_label)
     assert lab.sizes_desc.tolist() == ref_sizes.tolist()
@@ -231,7 +229,7 @@ def test_label_memory_is_bounded_per_vertex(eps):
     # and joins hold their peak whatever the number of densities
     for count in (1, 2, 11):
         ps = [pc_expansion_reference(n) + e / n for e in np.linspace(eps, -0.9, count)]
-        ladder, peak = _peak_bytes(lambda: replicate_stats(dim, ps, 2026, range(1), top=True))
+        ladder, peak = _peak_bytes(lambda: replicate_stats(dim, ps, 2026, range(1)))
         assert ladder[0].cmax.tolist() == [top_two(expected)[0]]
         assert peak <= 80 * dim.volume, \
             f"{count}-density peak {peak / dim.volume:.1f} B per vertex"
@@ -240,7 +238,7 @@ def test_label_memory_is_bounded_per_vertex(eps):
     # the join that sprinkling_experiment runs: the sprinkle's edges onto the base's blocks
     base = sample_subgraph(dim, sprinkle_split(n, p, eps), SeedSpec(2026, 0))
     sprinkle = sample_subgraph(dim, eps / (2 * n), SeedSpec(2026 ^ SPRINKLE_SALT, 0))
-    start = label_components(base)
+    start = label_components(base).root_of
     lab, peak = _peak_bytes(lambda: label_components(sprinkle, start))
     assert np.array_equal(lab.root_of, label_components(union_graphs(base, sprinkle)).root_of)
     assert peak <= 80 * dim.volume, f"join peak {peak / dim.volume:.1f} B per vertex"

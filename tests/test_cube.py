@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cubeperc.cube import (
     CubeDim,
     PathList,
-    VertexSet,
     ball_volume_exact,
     disjoint_short_paths,
     hamming_ball,
@@ -38,25 +37,33 @@ def test_ball_volume_values():
         ball_volume_exact(CubeDim(4), -1)
 
 
-def test_vertex_set_basics():
+def _mask(dim, members):
+    mask = np.zeros(dim.volume, dtype=bool)
+    mask[np.asarray(members, dtype=np.int64)] = True
+    return mask
+
+
+def test_vertex_sets_must_be_boolean_masks():
     dim = CubeDim(3)
-    s = VertexSet(dim, [0, 5, 5, 7])
-    assert len(s) == 3
-    assert 5 in s and 1 not in s
-    assert s.members().tolist() == [0, 5, 7]
-    with pytest.raises(ValueError):
-        VertexSet(dim, [8])
+    good = _mask(dim, [0])
+    for bad in (np.ones(7, dtype=bool), np.ones(8, dtype=np.int8), np.ones((2, 8), dtype=bool)):
+        with pytest.raises(ValueError, match="boolean mask"):
+            hamming_ball(dim, bad, 1)
+        with pytest.raises(ValueError, match="boolean mask"):
+            disjoint_short_paths(dim, bad, good, 1)
+        with pytest.raises(ValueError, match="boolean mask"):
+            disjoint_short_paths(dim, good, bad, 1)
 
 
 def test_hamming_ball_trivial_cases():
     dim = CubeDim(3)
-    v = VertexSet(dim, [5])
-    assert hamming_ball(dim, v, 0) == v
-    unit = hamming_ball(dim, VertexSet(dim, [0]), 1)
-    assert unit.members().tolist() == [0, 1, 2, 4]
-    assert len(hamming_ball(dim, v, 3)) == 8
+    v = _mask(dim, [5])
+    assert (hamming_ball(dim, v, 0) == v).all()
+    unit = hamming_ball(dim, _mask(dim, [0]), 1)
+    assert np.flatnonzero(unit).tolist() == [0, 1, 2, 4]
+    assert hamming_ball(dim, v, 3).sum() == 8
     with pytest.raises(ValueError):
-        hamming_ball(dim, VertexSet(dim, []), 1)
+        hamming_ball(dim, _mask(dim, []), 1)
 
 
 @given(n=st.integers(2, 8), d1=st.integers(0, 8), d2=st.integers(0, 8), seed=st.integers(0, 100))
@@ -64,10 +71,10 @@ def test_hamming_ball_trivial_cases():
 def test_hamming_ball_monotone_in_radius(n, d1, d2, seed):
     dim = CubeDim(n)
     rng = np.random.default_rng(seed)
-    x = VertexSet(dim, rng.integers(0, dim.volume, 3))
+    x = _mask(dim, rng.integers(0, dim.volume, 3))
     small = hamming_ball(dim, x, min(d1, d2))
     big = hamming_ball(dim, x, max(d1, d2))
-    assert not (small.mask & ~big.mask).any()
+    assert not (small & ~big).any()
 
 
 @given(n=st.integers(1, 10), u=st.integers(0, 10), d=st.integers(0, 10), seed=st.integers(0, 10**6))
@@ -76,9 +83,9 @@ def test_harper_ball_growth(n, u, d, seed):
     dim = CubeDim(n)
     u = min(u, n)
     rng = np.random.default_rng(seed)
-    x = VertexSet(dim, rng.choice(dim.volume, ball_volume_exact(dim, u), replace=False))
+    x = _mask(dim, rng.choice(dim.volume, ball_volume_exact(dim, u), replace=False))
     grown = hamming_ball(dim, x, d)
-    assert len(grown) >= ball_volume_exact(dim, u + d)
+    assert grown.sum() >= ball_volume_exact(dim, u + d)
 
 
 def test_tail_sum_values():
@@ -134,27 +141,27 @@ def test_big_overlap_property(n, eps, seed):
     dim = CubeDim(n)
     rng = np.random.default_rng(seed)
     size = math.ceil(eps * dim.volume)
-    s = VertexSet(dim, rng.choice(dim.volume, size, replace=False))
-    t = VertexSet(dim, rng.choice(dim.volume, size, replace=False))
+    s = _mask(dim, rng.choice(dim.volume, size, replace=False))
+    t = _mask(dim, rng.choice(dim.volume, size, replace=False))
     delta = min_overlap_delta(dim, eps)
-    overlap = hamming_ball(dim, s, delta).intersect(t)
-    assert 2 * len(overlap) >= len(t)
+    overlap = hamming_ball(dim, s, delta) & t
+    assert 2 * overlap.sum() >= t.sum()
 
 
 def test_disjoint_paths_point_cases():
     dim = CubeDim(3)
-    v = VertexSet(dim, [3])
+    v = _mask(dim, [3])
     zero = disjoint_short_paths(dim, v, v, 0)
     assert zero.paths == ((3,),)
 
     # opposite corners: a single geodesic of length 3
-    result = disjoint_short_paths(dim, VertexSet(dim, [0]), VertexSet(dim, [7]), 3)
+    result = disjoint_short_paths(dim, _mask(dim, [0]), _mask(dim, [7]), 3)
     assert len(result.paths) == 1
     path = result.paths[0]
     assert len(path) == 4 and path[0] == 7 and path[-1] == 0
 
     # disjoint target balls with too-small radius: empty
-    empty = disjoint_short_paths(dim, VertexSet(dim, [0]), VertexSet(dim, [7]), 1)
+    empty = disjoint_short_paths(dim, _mask(dim, [0]), _mask(dim, [7]), 1)
     assert empty.paths == ()
 
 
@@ -163,13 +170,13 @@ def test_disjoint_paths_point_cases():
 def test_disjoint_paths_invariants(n, delta, seed):
     dim = CubeDim(n)
     rng = np.random.default_rng(seed)
-    s = VertexSet(dim, rng.choice(dim.volume, int(rng.integers(1, dim.volume + 1)), replace=False))
-    t = VertexSet(dim, rng.choice(dim.volume, int(rng.integers(1, dim.volume + 1)), replace=False))
+    s = _mask(dim, rng.choice(dim.volume, int(rng.integers(1, dim.volume + 1)), replace=False))
+    t = _mask(dim, rng.choice(dim.volume, int(rng.integers(1, dim.volume + 1)), replace=False))
     result = disjoint_short_paths(dim, s, t, delta)
     seen = set()
     for path in result.paths:
         assert len(path) - 1 <= delta
-        assert path[0] in t and path[-1] in s
+        assert t[path[0]] and s[path[-1]]
         for a, b in zip(path, path[1:]):
             assert hamming_distance(a, b) == 1
         for v in path:
@@ -189,8 +196,8 @@ def test_disjoint_paths_count_guarantee(n, seed):
     rng = np.random.default_rng(seed)
     eps = float(rng.uniform(0.3, 1.0))
     size = math.ceil(eps * dim.volume)
-    s = VertexSet(dim, rng.choice(dim.volume, size, replace=False))
-    t = VertexSet(dim, rng.choice(dim.volume, size, replace=False))
+    s = _mask(dim, rng.choice(dim.volume, size, replace=False))
+    t = _mask(dim, rng.choice(dim.volume, size, replace=False))
     delta = min_overlap_delta(dim, eps)
     result = disjoint_short_paths(dim, s, t, delta)
     assert len(result.paths) >= 0.5 * eps * dim.volume * float(n) ** (-2 * delta)

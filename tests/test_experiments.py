@@ -51,7 +51,10 @@ def test_sweep_row_count_and_skips():
                       master_seed=4)
     records = run_sweep(cfg, p_hat=0.3)
     assert len(records) == 4
-    assert records[0].skipped  # p = 0.3 - 20/6 < 0
+    skipped = records[0]
+    assert skipped.skipped  # p = 0.3 - 20/6 < 0
+    assert (skipped.chi, skipped.cmax_mean, skipped.cmax_median, skipped.c2_mean,
+            skipped.theta, skipped.z_geq, skipped.n_alpha_cut) == (None,) * 7
     assert not records[1].skipped
     for rec in records[1:]:
         assert rec.chi is not None

@@ -36,7 +36,7 @@ from _reference import (
 
 
 def _chi(n, p, replicates, master=0):
-    (st,) = replicate_stats(CubeDim(n), (p,), master, range(replicates), chi=True)
+    (st,) = replicate_stats(CubeDim(n), (p,), master, range(replicates))
     return Estimate.from_samples(st.chi)
 
 
@@ -54,27 +54,25 @@ def test_estimate_from_samples():
 def test_replicate_stats_matches_hand_loop():
     dim, p, master, k = CubeDim(9), 0.14, 31, 12
     labs = [label_components(sample_subgraph(dim, p, SeedSpec(master, r))) for r in range(7)]
-    (got,) = replicate_stats(dim, (p,), master, range(7), chi=True, top=True, z_at=(k,),
-                             census=True)
+    (got,) = replicate_stats(dim, (p,), master, range(7), z_at=(k,), census=True)
     assert got.chi.tolist() == [chi_sample(lab) for lab in labs]
     assert got.cmax.tolist() == [top_two(lab)[0] for lab in labs]
     assert got.c2.tolist() == [top_two(lab)[1] for lab in labs]
     assert got.z_geq.tolist() == [count_z_geq(lab, k) for lab in labs]
     assert got.census.tolist() == [pair_census(lab).tolist() for lab in labs]
     # consecutive ranges concatenate to the whole range
-    (head,) = replicate_stats(dim, (p,), master, range(3), chi=True, top=True, z_at=(k,),
-                              census=True)
-    (tail,) = replicate_stats(dim, (p,), master, range(3, 7), chi=True, top=True, z_at=(k,),
-                              census=True)
+    (head,) = replicate_stats(dim, (p,), master, range(3), z_at=(k,), census=True)
+    (tail,) = replicate_stats(dim, (p,), master, range(3, 7), z_at=(k,), census=True)
     for field in ("chi", "cmax", "c2", "z_geq", "census"):
         joined = np.concatenate([getattr(head, field), getattr(tail, field)])
         assert joined.tolist() == getattr(got, field).tolist(), field
-    # only the reducers asked for run
-    (chi_only,) = replicate_stats(dim, (p,), master, range(2), chi=True)
-    assert chi_only.chi.tolist() == got.chi[:2].tolist()
-    assert chi_only.cmax is chi_only.c2 is chi_only.z_geq is chi_only.census is None
-    (empty,) = replicate_stats(dim, (p,), master, range(0), top=True, census=True)
-    assert empty.cmax.shape == (0,) and empty.census.shape == (0, 10)
+    # chi, cmax and c2 always run; z_geq and census only when asked for
+    (bare,) = replicate_stats(dim, (p,), master, range(2))
+    for field in ("chi", "cmax", "c2"):
+        assert getattr(bare, field).tolist() == getattr(got, field)[:2].tolist(), field
+    assert bare.z_geq is bare.census is None
+    (empty,) = replicate_stats(dim, (p,), master, range(0), census=True)
+    assert empty.chi.shape == empty.cmax.shape == (0,) and empty.census.shape == (0, 10)
 
 
 def test_replicate_stats_samples_and_labels_once_per_replicate(monkeypatch):
@@ -103,8 +101,7 @@ def test_replicate_stats_samples_and_labels_once_per_replicate(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(gen, "_edge_hashes", hashes)
             patch.setattr(stats, "label_components", label)
-            got = replicate_stats(dim, ps, master, range(k), chi=True, top=True,
-                                  z_at=(4,) * len(ps), census=True)
+            got = replicate_stats(dim, ps, master, range(k), z_at=(4,) * len(ps), census=True)
         assert len(hash_passes) == k
         assert len(labelings) == k * len(ps)
         for g in layers:
@@ -362,7 +359,7 @@ def test_z_concentration_trivials():
 def test_chi_monotone_under_coupling():
     # one SeedSpec thresholds the same uniforms at every p, so chi is monotone
     dim = CubeDim(8)
-    chis = [replicate_stats(dim, (p,), 55, range(20), chi=True)[0].chi
+    chis = [replicate_stats(dim, (p,), 55, range(20))[0].chi
             for p in (0.05, 0.1, 0.2, 0.5)]
     for rep in range(20):
         stats = [c[rep] for c in chis]
