@@ -240,6 +240,11 @@ def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
     for key in ("replicates", "seeds"):
         if key in merged and merged[key] < 1:
             raise UsageError(f"--{key} must be >= 1, got {merged[key]}")
+    # checked here, not by the experiment, so that no threshold is solved first
+    if subcommand in ("sprinkle", "duality") and merged["eps"] <= 0.0:
+        raise UsageError("eps must be positive")
+    if "alpha" in merged and not 0.0 < merged["alpha"] < 1.0:
+        raise UsageError("alpha must lie in (0, 1)")
     pc = merged.get("pc")
     if pc is not None and not 0.0 <= pc <= 1.0:
         raise UsageError(f"--pc {pc} is not a density: it must be finite and lie in [0, 1]")

@@ -17,11 +17,21 @@ p[c] for an old entry c, and mapping the path from c to p[c] onto parents
 gives one from p[c] to p[p[c]].  A hook points x at a vertex paired with x
 and a jump points v at p[p[v]], so no link is cut that the pairs do not
 hold, and once no pair is live every tree is a component.
+The rounds close with one gather over every vertex.  When they begin,
+every vertex points at a root (itself, its start root, or its root after the
+dense batch's jumps).  A round writes only the roots it hooks and leaves each
+pointing at a root; hooked, they are roots no longer, so no later round
+writes them again.  Taken from the last round back, each round's hooked
+roots point at roots that are final or were hooked later and already point
+at final roots, so one gather per round settles them.  Every other vertex
+then points at a round-start root that is final or settled, and
+p[v] <- p[p[v]] over all v ends the labeling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,19 +52,24 @@ class ClusterLabeling:
 
     root_of maps every vertex to its representative, the smallest vertex of
     its component; size_by_root gives the component size at each
-    representative index; sizes_desc is the multiset of component sizes,
-    largest first.
+    representative index and 0 at every other vertex; sizes_desc, built on
+    first read, is the multiset of component sizes, largest first.
     """
 
     dim: CubeDim
     root_of: np.ndarray
     size_by_root: np.ndarray
-    sizes_desc: np.ndarray
 
     def __post_init__(self) -> None:
         self.root_of.setflags(write=False)
         self.size_by_root.setflags(write=False)
-        self.sizes_desc.setflags(write=False)
+
+    @cached_property
+    def sizes_desc(self) -> np.ndarray:
+        by_size = np.bincount(self.size_by_root)  # entry 0 counts the non-root vertices
+        sizes = np.arange(by_size.size - 1, 0, -1).repeat(by_size[:0:-1])
+        sizes.setflags(write=False)
+        return sizes
 
 
 def _jump_all(parent: np.ndarray) -> np.ndarray:
@@ -70,6 +85,28 @@ def _jump_all(parent: np.ndarray) -> np.ndarray:
     while total != (total := np.add.reduce(parent.take(parent, out=buf, mode="clip"))):
         parent, buf = buf, parent
     return buf
+
+
+def _edge_ids(flat: np.ndarray) -> np.ndarray:
+    """Ascending indices of the set entries of the flat bool array `flat`.
+
+    On a bool array at or below 10% density numpy's `nonzero` costs about
+    1.6 ns per entry.  On a large sparse array it is cheaper to pack eight
+    entries to a byte, find the nonzero bytes (about 40% of them near p_c,
+    which numpy finds branch-free) and unpack only those.  Below 2^16
+    entries or above 10% density the plain `nonzero` is faster.
+    """
+    if flat.size < 1 << 16 or 10 * np.count_nonzero(flat) > flat.size:
+        return flat.nonzero()[0]
+    packed = np.packbits(flat, bitorder="little")
+    byte = (packed != 0).nonzero()[0]  # nonzero on uint8 takes a slower path than on bool
+    # unpackbits writes only 0 and 1, so the bool view is exact
+    bit = np.unpackbits(packed[byte], bitorder="little").view(bool).nonzero()[0]
+    ids = byte[bit >> 3]
+    ids <<= 3
+    bit &= 7
+    ids |= bit
+    return ids
 
 
 def label_components(graph: OccupiedGraph, start: np.ndarray | None = None) -> ClusterLabeling:
@@ -90,7 +127,7 @@ def label_components(graph: OccupiedGraph, start: np.ndarray | None = None) -> C
     shift = graph.dim.n - 1
     # flat edge id -> direction d = id >> (n-1) and plane index i; the lower
     # endpoint inserts a zero bit at d into i: lo = i + (i & -(1 << d))
-    lo = graph.planes.ravel().nonzero()[0]
+    lo = _edge_ids(graph.planes.ravel())
     hi = lo >> shift
     np.left_shift(1, hi, out=hi)
     lo &= (1 << shift) - 1
@@ -114,9 +151,11 @@ def label_components(graph: OccupiedGraph, start: np.ndarray | None = None) -> C
         # the roots it hooked instead of every vertex
         np.minimum.at(parent, hi, lo)
         parent = _jump_all(parent)
+    hooked = []
     while True:
         # every endpoint in lo and hi points at its root here; each pair array
-        # is freed as soon as it is read, so at most four live at once
+        # but the hooked roots is freed as soon as it is read, so at most four
+        # live at once besides them
         a = parent[lo]
         del lo
         b = parent[hi]
@@ -138,27 +177,36 @@ def label_components(graph: OccupiedGraph, start: np.ndarray | None = None) -> C
         total = np.add.reduce(ph)
         while total != (total := np.add.reduce(pph := parent[ph])):
             parent[hi] = ph = pph
-    # a vertex off the live edges can sit a few hooks below its root; bincount
-    # takes intp parents without a copy, and they are freed before the census
-    parent = _jump_all(parent)
+        hooked.append(hi)
+    del a, b, live
+    if hooked:
+        # a round's hooked roots point at roots that a later round may hook:
+        # settled from the last round back, one gather each, they point at
+        # final roots, and every other vertex sits at most one step below one
+        for i in range(len(hooked) - 2, -1, -1):
+            parent[hooked[i]] = parent[parent[hooked[i]]]
+        del hooked
+        parent = parent.take(parent)
+    # bincount takes intp parents without a copy, and they are freed before the census
     size_by_root = np.bincount(parent, minlength=graph.dim.volume)
     root_of = parent.astype(np.int32)
     del parent
-    by_size = np.bincount(size_by_root)  # entry 0 counts the non-root vertices
-    sizes_desc = np.arange(by_size.size - 1, 0, -1).repeat(by_size[:0:-1])
-    return ClusterLabeling(graph.dim, root_of, size_by_root, sizes_desc)
+    return ClusterLabeling(graph.dim, root_of, size_by_root)
 
 
 def count_z_geq(labeling: ClusterLabeling, k: int) -> int:
     """Number of vertices whose component has at least k members."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    sizes = labeling.sizes_desc
+    sizes = labeling.size_by_root  # a non-root vertex reads 0 and adds nothing
     return int(sizes[sizes >= k].sum())
 
 
 def top_two(labeling: ClusterLabeling) -> tuple[int, int]:
     """Sizes of the largest and second-largest components (0 when absent)."""
-    sizes = labeling.sizes_desc
-    second = int(sizes[1]) if sizes.shape[0] > 1 else 0
-    return int(sizes[0]), second
+    sizes = labeling.size_by_root
+    i = int(sizes.argmax())
+    # a component tied for the largest sits on one side of the first; the
+    # non-root vertices read 0, as does a missing second component
+    second = max(sizes[:i].max(initial=0), sizes[i + 1:].max(initial=0))
+    return int(sizes[i]), int(second)

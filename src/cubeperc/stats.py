@@ -130,8 +130,8 @@ class ZConcentrationReport:
 
 def chi_sample(labeling: ClusterLabeling) -> float:
     """Single-replicate susceptibility statistic: sum of squared sizes over 2^n."""
-    sizes = labeling.sizes_desc
-    return float(int((sizes * sizes).sum()) / labeling.dim.volume)
+    sizes = labeling.size_by_root  # a non-root vertex reads 0 and adds nothing
+    return int(np.dot(sizes, sizes)) / labeling.dim.volume
 
 
 def n_alpha(p_c: float, p: float, n: int, alpha: float) -> float:

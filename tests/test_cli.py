@@ -304,6 +304,24 @@ def test_counts_below_one_are_refused_before_solving(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sprinkle", "--n", "12", "--eps", "-0.3", "--seeds", "1"], "eps must be positive"),
+    (["sprinkle", "--n", "12", "--eps", "0", "--seeds", "1"], "eps must be positive"),
+    (["duality", "--n", "12", "--eps", "-0.3"], "eps must be positive"),
+    (["sprinkle", "--n", "12", "--alpha", "2", "--seeds", "1"], "alpha must lie in (0, 1)"),
+    (["sprinkle", "--n", "12", "--alpha", "0", "--seeds", "1"], "alpha must lie in (0, 1)"),
+], ids=["sprinkle-eps", "sprinkle-eps0", "duality-eps", "sprinkle-alpha", "sprinkle-alpha0"])
+def test_eps_and_alpha_are_refused_before_solving(tmp_path, capsys, monkeypatch, argv, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a threshold for a run that is refused")
+
+    monkeypatch.setattr(cli, "solve_pc", no_solve)
+    out = tmp_path / "none"
+    assert parse_and_dispatch(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_triangle_command(tmp_path):
     out = tmp_path / "tri"
     code = parse_and_dispatch(["triangle", "--n", "6", "--p", "0.15",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeperc.clusters import (
+    _edge_ids,
     count_z_geq,
     label_components,
     top_two,
@@ -19,7 +20,7 @@ from cubeperc.gen import (
     sample_subgraph,
     sprinkle_split,
 )
-from cubeperc.stats import replicate_stats
+from cubeperc.stats import chi_sample, replicate_stats
 
 from _reference import (
     bfs_component_sizes,
@@ -203,6 +204,130 @@ def test_hamiltonian_path_is_one_component(n, mirrored):
     assert not lab.root_of.any()
     assert lab.sizes_desc.tolist() == [1 << n]
     assert int(lab.size_by_root[0]) == 1 << n
+
+
+@pytest.mark.parametrize("size", [(1 << 16) - 8, (1 << 16) - 1, 1 << 16, (1 << 16) + 5, 3 << 17])
+@pytest.mark.parametrize("density", ["none", "one", "under_tenth", "over_tenth", "all"])
+def test_edge_ids_match_flatnonzero(monkeypatch, size, density):
+    count = {"none": 0, "one": 1, "under_tenth": size // 10, "over_tenth": size // 10 + 1,
+             "all": size}[density]
+    flat = np.zeros(size, dtype=bool)
+    flat[np.random.default_rng(size + count).choice(size, count, replace=False)] = True
+    real_packbits = np.packbits
+    packs = []
+
+    def packbits(*args, **kwargs):
+        packs.append(args)
+        return real_packbits(*args, **kwargs)
+
+    monkeypatch.setattr(np, "packbits", packbits)
+    ids = _edge_ids(flat)
+    assert ids.dtype == np.intp
+    assert np.array_equal(ids, np.flatnonzero(flat))
+    # the packed path is taken exactly on large inputs at or below 10% density
+    assert len(packs) == (size >= 1 << 16 and 10 * count <= size)
+
+
+@pytest.mark.parametrize("eps", [-0.45, 0.0])
+def test_sparse_planes_at_n14_agree_with_the_reference_labelers(eps):
+    # n = 14 has 114,688 edge slots, so below 10% density both the cold
+    # labeling and the join read their edge ids through the packed bytes
+    n = 14
+    dim = CubeDim(n)
+    g = sample_subgraph(dim, pc_expansion_reference(n) + eps / n, SeedSpec(2026, 1))
+    assert 10 * np.count_nonzero(g.planes) <= g.planes.size
+    lab = label_components(g)
+    ref_label, ref_sizes = bfs_component_sizes(g)
+    assert np.array_equal(lab.root_of, ref_label)
+    assert lab.sizes_desc.tolist() == ref_sizes.tolist()
+    sprinkle = sample_subgraph(dim, 0.3 / (2 * n), SeedSpec(2026 ^ SPRINKLE_SALT, 1))
+    joined = label_components(sprinkle, lab.root_of)
+    expected = union_find_join(lab.root_of, sprinkle)
+    assert np.array_equal(joined.root_of, expected)
+    assert np.array_equal(joined.size_by_root, np.bincount(expected, minlength=dim.volume))
+
+
+def test_root_hooked_onto_a_root_hooked_in_later_rounds_cold():
+    # seven vertices of Q_7 in six edges, too few for the dense hook: round 1
+    # hooks 47 onto 39 (and 45 onto 37, 59 onto 27), round 2 hooks 39 onto
+    # 37 (and 43 onto 27), round 3 hooks 37 onto 27, so 47 ends the rounds
+    # three hooks below its root
+    dim = CubeDim(7)
+    g = union_graphs(path_graph(dim, [37, 45, 47, 39]), path_graph(dim, [47, 43, 59, 27]))
+    lab = label_components(g)
+    ref_label, ref_sizes = bfs_component_sizes(g)
+    assert np.array_equal(lab.root_of, ref_label)
+    assert lab.root_of[[27, 37, 39, 43, 45, 47, 59]].tolist() == [27] * 7
+    assert lab.sizes_desc.tolist() == ref_sizes.tolist()
+
+
+def test_root_hooked_onto_a_root_hooked_in_later_rounds_join():
+    # edges (x, x ^ 1) above 2^(n-1) join the blocks of start roots
+    # (1, 12), (9, 12), (8, 12), (0, 11), (9, 11), (8, 15): round 1 hooks 12
+    # onto 1, 11 onto 0 and 15 onto 8; round 2, on the pairs (1, 9), (1, 8)
+    # and (0, 9), hooks 9 onto 0 and 8 onto 1; round 3 hooks 1 onto 0; the
+    # block member 16 + r of each root r sits one more step down, so 31 ends
+    # the rounds four steps below its root
+    n = 7
+    dim = CubeDim(n)
+    pairs = [(1, 12), (9, 12), (8, 12), (0, 11), (9, 11), (8, 15)]
+    start = np.arange(dim.volume, dtype=np.int32)
+    planes = np.zeros((n, dim.volume // 2), dtype=bool)
+    for i, (a, b) in enumerate(pairs):
+        x = dim.volume // 2 + 2 * i
+        start[x], start[x + 1] = a, b
+        planes[0, x // 2] = True
+    for r in {r for pair in pairs for r in pair}:
+        start[16 + r] = r
+    batch = OccupiedGraph(dim, planes)
+    lab = label_components(batch, start)
+    expected = union_find_join(start, batch)
+    assert np.array_equal(lab.root_of, expected)
+    assert lab.root_of[[8, 11, 12, 15, 31]].tolist() == [0] * 5
+    assert np.array_equal(lab.size_by_root, np.bincount(expected, minlength=dim.volume))
+
+
+@given(n=st.integers(1, 8), blocks=st.integers(1, 256), seed=st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_reducers_match_the_sorted_sizes(n, blocks, seed):
+    # any smallest-vertex partition, read back through an empty join; the
+    # reducers read size_by_root, the reference formulas read sizes_desc
+    dim = CubeDim(n)
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, min(blocks, dim.volume), dim.volume)
+    first = np.full(block.max() + 1, dim.volume)
+    np.minimum.at(first, block, np.arange(dim.volume))
+    empty = OccupiedGraph(dim, np.zeros((n, dim.volume // 2), dtype=bool))
+    lab = label_components(empty, first[block].astype(np.int32))
+    sizes = lab.sizes_desc
+    assert top_two(lab) == (int(sizes[0]), int(sizes[1]) if sizes.size > 1 else 0)
+    assert chi_sample(lab) == float(int((sizes * sizes).sum()) / dim.volume)
+    for k in (0, 1, 2, int(sizes[0]), int(sizes[0]) + 1):
+        assert count_z_geq(lab, k) == int(sizes[sizes >= k].sum())
+
+
+@pytest.mark.parametrize("roots, expected", [
+    ([0, 0, 0, 3, 3, 3, 6, 7], (3, 3)),  # the tie partner after the first largest
+    ([0, 1, 1, 1, 4, 4, 4, 7], (3, 3)),  # the tie partner before it is the first
+    ([0, 1, 0, 1, 0, 1, 0, 1], (4, 4)),
+    ([0, 0, 0, 0, 0, 0, 0, 0], (8, 0)),  # a single component
+    ([0, 1, 2, 3, 4, 5, 6, 7], (1, 1)),
+    ([0, 1, 1, 1, 1, 1, 6, 1], (6, 1)),
+])
+def test_top_two_ties_and_a_single_component(roots, expected):
+    empty = OccupiedGraph(CubeDim(3), np.zeros((3, 4), dtype=bool))
+    lab = label_components(empty, _partition(roots))
+    assert top_two(lab) == expected
+
+
+def test_sizes_desc_is_built_once_and_read_only():
+    lab = label_components(sample_subgraph(CubeDim(6), 0.2, SeedSpec(5)))
+    assert "sizes_desc" not in vars(lab)
+    sizes = lab.sizes_desc
+    assert lab.sizes_desc is sizes
+    assert not sizes.flags.writeable
+    with pytest.raises(ValueError):
+        sizes[0] = 0
 
 
 def _peak_bytes(call):
