@@ -377,7 +377,7 @@ def _cmd_lemma_check(cfg: dict[str, Any]) -> Run:
         results.append(runner(cfg["n_max"], cfg[count_key], seed=cfg["seed"]))
         print(f"{results[-1].name}: {results[-1].instances} instances, "
               f"{results[-1].violations} violations", file=sys.stderr)
-    results.append(run_tail_suite(30))
+    results.append(run_tail_suite())
     bad = [r for r in results if not r.passed]
     if bad:
         print(f"violations found in: {', '.join(r.name for r in bad)}", file=sys.stderr)

@@ -87,13 +87,10 @@ def ball_volume_exact(dim: CubeDim, u: int) -> int:
     return sum(math.comb(dim.n, i) for i in range(min(u, dim.n) + 1))
 
 
-def _grow_once(dim: CubeDim, reached: np.ndarray) -> np.ndarray:
-    """One breadth-first shell: reached plus all neighbors of reached."""
-    grown = reached.copy()
-    for i in range(dim.n):
-        # reshaping to (..., 2, 2^i) and flipping the middle axis maps v -> v ^ (1 << i)
-        grown |= reached.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
-    return grown
+def _flip(x: np.ndarray, i: int) -> np.ndarray:
+    """x read at v ^ (1 << i) for every vertex v: the neighbours across coordinate i."""
+    # reshaping to (..., 2, 2^i) and flipping the middle axis maps v -> v ^ (1 << i)
+    return x.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
 
 
 def _check_set(dim: CubeDim, x: np.ndarray) -> None:
@@ -112,7 +109,10 @@ def hamming_ball(dim: CubeDim, x: np.ndarray, d: int) -> np.ndarray:
     for _ in range(min(d, dim.n)):
         if reached.all():
             break
-        reached = _grow_once(dim, reached)
+        grown = reached.copy()  # one breadth-first shell
+        for i in range(dim.n):
+            grown |= _flip(reached, i)
+        reached = grown
     return reached
 
 
@@ -158,27 +158,27 @@ def min_overlap_delta(dim: CubeDim, eps: float) -> int:
 def _bfs_forest(dim: CubeDim, sources: np.ndarray, max_depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Level-synchronous multi-source BFS up to max_depth: (dist, pred) arrays.
 
-    Frontiers are scanned in ascending vertex order and the first assignment
-    wins, so every vertex records its lexicographically smallest predecessor
-    and the forest is deterministic.
+    Each newly reached vertex records its smallest neighbour on the previous
+    level as predecessor, so the forest is deterministic.
     """
-    pred = np.full(dim.volume, -1, dtype=np.int64)
-    dist = np.full(dim.volume, -1, dtype=np.int64)
+    volume = dim.volume
+    pred = np.full(volume, -1, dtype=np.int64)
+    dist = np.full(volume, -1, dtype=np.int64)
     dist[sources] = 0
     pred[sources] = sources
-    frontier = [int(s) for s in sources]
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
-        nxt: list[int] = []
-        for v in frontier:
-            for i in range(dim.n):
-                w = v ^ (1 << i)
-                if dist[w] == -1:
-                    dist[w] = depth
-                    pred[w] = v
-                    nxt.append(w)
-        frontier = sorted(nxt)
+    all_v = np.arange(volume, dtype=np.int64)
+    frontier = dist == 0
+    for depth in range(1, max_depth + 1):
+        # frontier vertices carry their own id, the rest the sentinel `volume`
+        ids = np.where(frontier, all_v, volume)
+        smallest = np.full(volume, volume, dtype=np.int64)
+        for i in range(dim.n):
+            np.minimum(smallest, _flip(ids, i), out=smallest)
+        frontier = (smallest < volume) & (dist == -1)
+        if not frontier.any():
+            break
+        dist[frontier] = depth
+        pred[frontier] = smallest[frontier]
     return dist, pred
 
 

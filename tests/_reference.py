@@ -94,6 +94,23 @@ def union_find_join(root_of: np.ndarray, graph: OccupiedGraph) -> np.ndarray:
     return np.array([find(v) for v in range(graph.dim.volume)])
 
 
+def bfs_forest(n: int, sources: list[int], max_depth: int) -> tuple[list[int], list[int]]:
+    """(dist, pred) of a multi-source BFS on Q_n, with plain sets: a vertex first
+    reached at depth k takes its smallest depth-(k-1) neighbour as predecessor."""
+    dist = [-1] * (1 << n)
+    pred = [-1] * (1 << n)
+    for s in sources:
+        dist[s], pred[s] = 0, s
+    frontier = set(sources)
+    for depth in range(1, max_depth + 1):
+        fresh = {v ^ (1 << i) for v in frontier for i in range(n) if dist[v ^ (1 << i)] == -1}
+        for w in fresh:
+            dist[w] = depth
+            pred[w] = min(w ^ (1 << i) for i in range(n) if w ^ (1 << i) in frontier)
+        frontier = fresh
+    return dist, pred
+
+
 def reference_pair_census(graph: OccupiedGraph) -> np.ndarray:
     """Ordered same-component pairs by distance, from every vertex pair and BFS labels."""
     n = graph.dim.n

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubeperc import lemmas
 from cubeperc.cube import (
     CubeDim,
     PathList,
+    _bfs_forest,
     ball_volume_exact,
     disjoint_short_paths,
     hamming_ball,
@@ -16,6 +18,8 @@ from cubeperc.cube import (
     min_overlap_delta,
     tail_sum_exact,
 )
+
+from _reference import bfs_forest
 
 
 def test_cube_dim_validation():
@@ -211,3 +215,27 @@ def test_pathlist_rejects_bad_paths():
         PathList(dim, 1, ((0, 1, 3),))  # too long
     with pytest.raises(ValueError):
         PathList(dim, 2, ((0, 1), (1, 3)))  # shared vertex
+
+
+@given(n=st.integers(1, 8), seed=st.integers(0, 10**6))
+@settings(deadline=None, max_examples=60)
+def test_bfs_forest_matches_reference(n, seed):
+    # pred is the smallest previous-level neighbour: the rule that makes paths deterministic
+    dim = CubeDim(n)
+    rng = np.random.default_rng(seed)
+    sources = np.sort(rng.choice(dim.volume, int(rng.integers(1, min(dim.volume, 6) + 1)), replace=False))
+    for depth in range(n + 2):
+        dist, pred = _bfs_forest(dim, sources, depth)
+        ref_dist, ref_pred = bfs_forest(n, sources.tolist(), depth)
+        assert dist.tolist() == ref_dist
+        assert pred.tolist() == ref_pred
+
+
+def test_paths_suite_counts_pathlist_rejections(monkeypatch):
+    # length, adjacency and disjointness are checked only by the PathList constructor
+    monkeypatch.setattr(lemmas, "disjoint_short_paths",
+                        lambda dim, s, t, delta: PathList(dim, 0, ((0, 1),)))
+    result = lemmas.run_paths_suite(n_max=2, instances_per_n=3)
+    assert (result.instances, result.violations) == (3, 3)
+    # the three instances draw delta = 2, 0, 1: the first failure is kept, not the last
+    assert result.first_failure == "n=2 delta=2: path longer than the bound it was built for"
