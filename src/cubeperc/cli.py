@@ -192,11 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for opt in options:
             sp.add_argument(f"--{opt.name}", dest=_key(opt.name), type=opt.typ,
                             default=None, help=opt.help)
-        try:
-            # let grid values like `--eps -0.3,0,0.3` pass as option values
-            sp._negative_number_matcher = re.compile(r"^-\d+\.?\d*(,.*)?$")
-        except AttributeError:  # pragma: no cover - `--eps=-0.3,...` still works
-            pass
+        # let grid values like `--eps -0.3,0,0.3` pass as option values
+        sp._negative_number_matcher = re.compile(r"^-\d+\.?\d*(,.*)?$")
     return parser
 
 
@@ -241,7 +238,7 @@ def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
         if key in merged and merged[key] < 1:
             raise UsageError(f"--{key} must be >= 1, got {merged[key]}")
     # checked here, not by the experiment, so that no threshold is solved first
-    if subcommand in ("sprinkle", "duality") and merged["eps"] <= 0.0:
+    if subcommand in ("sprinkle", "duality") and not merged["eps"] > 0.0:
         raise UsageError("eps must be positive")
     if "alpha" in merged and not 0.0 < merged["alpha"] < 1.0:
         raise UsageError("alpha must lie in (0, 1)")

@@ -112,12 +112,12 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
     estimate decides.  Susceptibility is heavy-tailed near the threshold, so
     the interval test is approximate; the cap keeps termination guaranteed.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lambda must be positive")
     schedule = schedule or ReplicateSchedule()
     if tol_p is None:
         tol_p = default_tol_p(dim.n)
-    if tol_p <= 0.0:
+    if not tol_p > 0.0:
         raise ValueError("tol_p must be positive")
     target = lam * 2.0 ** (dim.n / 3.0)
     if target < 1.0 or target > dim.volume:

@@ -73,9 +73,6 @@ class PathList:
                     raise ValueError("paths share a vertex")
                 seen.add(v)
 
-    def __len__(self) -> int:
-        return len(self.paths)
-
 
 def ball_volume_exact(dim: CubeDim, u: int) -> int:
     """Exact number of vertices within distance u of a point: sum of C(n,i), i <= u.
@@ -155,31 +152,29 @@ def min_overlap_delta(dim: CubeDim, eps: float) -> int:
     return delta
 
 
-def _bfs_forest(dim: CubeDim, sources: np.ndarray, max_depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level-synchronous multi-source BFS up to max_depth: (dist, pred) arrays.
+def _bfs_forest(dim: CubeDim, sources: np.ndarray, max_depth: int) -> np.ndarray:
+    """Level-synchronous multi-source BFS up to max_depth: the predecessor array.
 
-    Each newly reached vertex records its smallest neighbour on the previous
-    level as predecessor, so the forest is deterministic.
+    A source is its own predecessor and an unreached vertex holds -1.  Each
+    newly reached vertex records its smallest neighbour on the previous level
+    as predecessor, so the forest is deterministic.
     """
     volume = dim.volume
     pred = np.full(volume, -1, dtype=np.int64)
-    dist = np.full(volume, -1, dtype=np.int64)
-    dist[sources] = 0
     pred[sources] = sources
     all_v = np.arange(volume, dtype=np.int64)
-    frontier = dist == 0
-    for depth in range(1, max_depth + 1):
+    frontier = pred != -1
+    for _ in range(max_depth):
         # frontier vertices carry their own id, the rest the sentinel `volume`
         ids = np.where(frontier, all_v, volume)
         smallest = np.full(volume, volume, dtype=np.int64)
         for i in range(dim.n):
             np.minimum(smallest, _flip(ids, i), out=smallest)
-        frontier = (smallest < volume) & (dist == -1)
+        frontier = (smallest < volume) & (pred == -1)
         if not frontier.any():
             break
-        dist[frontier] = depth
         pred[frontier] = smallest[frontier]
-    return dist, pred
+    return pred
 
 
 def disjoint_short_paths(dim: CubeDim, s: np.ndarray, t: np.ndarray, delta: int) -> PathList:
@@ -187,9 +182,9 @@ def disjoint_short_paths(dim: CubeDim, s: np.ndarray, t: np.ndarray, delta: int)
 
     Construction: restrict t to the ball of radius delta around s, thin the
     restriction to a maximal subset with pairwise distance > 2*delta (greedy
-    scan in ascending vertex order), then extract one shortest path per kept
-    vertex by successive breadth-first searches that mark every used vertex.
-    The achieved path count is reported as-is.
+    scan in ascending vertex order), then walk each kept vertex back into s
+    along one breadth-first forest grown from s.  The achieved path count is
+    reported as-is.
     """
     _check_set(dim, s)
     _check_set(dim, t)
@@ -198,38 +193,22 @@ def disjoint_short_paths(dim: CubeDim, s: np.ndarray, t: np.ndarray, delta: int)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
 
-    t1_mask = hamming_ball(dim, s, delta) & t
-    if not t1_mask.any():
-        return PathList(dim, delta, ())
-
-    if delta == 0:
-        # distinct vertices are automatically > 0 apart; every path is a single vertex
-        kept = [int(v) for v in np.flatnonzero(t1_mask)]
-        return PathList(dim, 0, tuple((v,) for v in kept))
-
+    candidates = hamming_ball(dim, s, delta) & t
     all_v = np.arange(dim.volume, dtype=np.int64)
-    candidates = t1_mask.copy()
     kept = []
     while candidates.any():
         v = int(candidates.argmax())
         kept.append(v)
         candidates &= np.bitwise_count(all_v ^ v) > 2 * delta
 
-    # One BFS forest serves every kept vertex: each path stays within delta
-    # of its own head, and heads are more than 2*delta apart, so path vertex
-    # sets cannot meet.  The used-set guard enforces disjointness anyway and
-    # the achieved count is whatever survives it.
-    dist, pred = _bfs_forest(dim, np.flatnonzero(s), delta)
-    used = np.zeros(dim.volume, dtype=bool)
-    paths: list[tuple[int, ...]] = []
+    # Every kept vertex lies within delta of s, so the forest reaches it; each
+    # path stays within delta of its own head, and heads are more than 2*delta
+    # apart, so no two paths meet.
+    pred = _bfs_forest(dim, np.flatnonzero(s), delta)
+    paths = []
     for v in kept:
-        if dist[v] == -1:
-            continue
         path = [v]
-        while dist[path[-1]] != 0:
+        while pred[path[-1]] != path[-1]:
             path.append(int(pred[path[-1]]))
-        if used[path].any():
-            continue
-        used[path] = True
         paths.append(tuple(path))
     return PathList(dim, delta, tuple(paths))

@@ -167,7 +167,8 @@ class RegimeSummary:
 
 def _references(n: int, eps: float) -> tuple[float, float, float]:
     v = float(1 << n)
-    ref_below = 2.0 * n * math.log(2.0) / (eps * eps) if eps != 0.0 else math.inf
+    eps2 = eps * eps  # 0 also when a tiny eps underflows
+    ref_below = 2.0 * n * math.log(2.0) / eps2 if eps2 else math.inf
     ref_inside = v ** (2.0 / 3.0)
     ref_above = 2.0 * eps * v
     return ref_below, ref_inside, ref_above
@@ -311,6 +312,16 @@ def exact_enumerate(n: int, p: float) -> ExactOracle:
     return ExactOracle(n, p, math.fsum(chi_terms), math.fsum(cmax_terms), pmf)
 
 
+# p = p_hat + eps/n is monotone: below rows have eps < 0, above rows eps > 0, |eps| ~> 10/2^(n/3)
+_REGIME_RATIOS = (
+    ("below", "cmax / (2 log V / eps^2)", lambda rec: rec.cmax_mean / rec.ref_below),
+    ("inside", "cmax / V^(2/3)", lambda rec: rec.cmax_mean / rec.ref_inside),
+    ("above", "cmax / (2 eps V)", lambda rec: rec.cmax_mean / rec.ref_above),
+    # 4 eps^2 V as 2 eps ref_above, exact since ref_above = 2 eps V
+    ("above", "chi / (4 eps^2 V)", lambda rec: rec.chi.mean / (2.0 * rec.epsilon * rec.ref_above)),
+)
+
+
 def regime_summary(records: list[SweepRecord], duality: DualityReport | None = None,
                    triangle: TriangleReport | None = None) -> RegimeSummary:
     """Aggregate measured largest-cluster sizes against their regime scales.
@@ -322,25 +333,8 @@ def regime_summary(records: list[SweepRecord], duality: DualityReport | None = N
     if not records:
         raise ValueError("no records to summarize")
     entries: list[SummaryEntry] = []
-    for regime, metric, kind in (
-        ("below", "cmax / (2 log V / eps^2)", "cmax_below"),
-        ("inside", "cmax / V^(2/3)", "cmax_inside"),
-        ("above", "cmax / (2 eps V)", "cmax_above"),
-        ("above", "chi / (4 eps^2 V)", "chi_above"),
-    ):
-        ratios = []
-        for rec in records:
-            if rec.skipped or rec.regime != regime:
-                continue
-            if kind == "cmax_below" and math.isfinite(rec.ref_below):
-                ratios.append(rec.cmax_mean / rec.ref_below)
-            elif kind == "cmax_inside":
-                ratios.append(rec.cmax_mean / rec.ref_inside)
-            elif kind == "cmax_above" and rec.ref_above > 0:
-                ratios.append(rec.cmax_mean / rec.ref_above)
-            elif kind == "chi_above" and rec.epsilon > 0:
-                # 4 eps^2 V as 2 eps ref_above, exact since ref_above = 2 eps V
-                ratios.append(rec.chi.mean / (2.0 * rec.epsilon * rec.ref_above))
+    for regime, metric, ratio in _REGIME_RATIOS:
+        ratios = [ratio(rec) for rec in records if not rec.skipped and rec.regime == regime]
         if ratios:
             entries.append(SummaryEntry(regime, metric, float(np.mean(ratios)), len(ratios)))
     return RegimeSummary(

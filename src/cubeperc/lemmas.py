@@ -79,7 +79,7 @@ def run_harper_suite(n_max: int = 12, instances_per_n: int = 10_000, seed: int =
     return _tally("harper-ball-growth", outcomes())
 
 
-def run_tail_suite(n_max: int = 30, seed: int = 0) -> SuiteResult:
+def run_tail_suite(n_max: int = 30) -> SuiteResult:
     """Binomial tail symmetry and its large-deviation bound, exact for every
     integer offset up to each dimension."""
     def outcomes() -> Iterator[str | None]:

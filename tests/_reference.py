@@ -94,9 +94,9 @@ def union_find_join(root_of: np.ndarray, graph: OccupiedGraph) -> np.ndarray:
     return np.array([find(v) for v in range(graph.dim.volume)])
 
 
-def bfs_forest(n: int, sources: list[int], max_depth: int) -> tuple[list[int], list[int]]:
-    """(dist, pred) of a multi-source BFS on Q_n, with plain sets: a vertex first
-    reached at depth k takes its smallest depth-(k-1) neighbour as predecessor."""
+def bfs_forest(n: int, sources: list[int], max_depth: int) -> list[int]:
+    """pred of a multi-source BFS on Q_n, with plain sets: a vertex first reached
+    at depth k takes its smallest depth-(k-1) neighbour as predecessor."""
     dist = [-1] * (1 << n)
     pred = [-1] * (1 << n)
     for s in sources:
@@ -108,7 +108,7 @@ def bfs_forest(n: int, sources: list[int], max_depth: int) -> tuple[list[int], l
             dist[w] = depth
             pred[w] = min(w ^ (1 << i) for i in range(n) if w ^ (1 << i) in frontier)
         frontier = fresh
-    return dist, pred
+    return pred
 
 
 def reference_pair_census(graph: OccupiedGraph) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cubeperc
-from cubeperc import cli
+from cubeperc import cli, lemmas
 from cubeperc.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -22,7 +22,8 @@ from cubeperc.cli import (
     _parse_config_file,
     parse_and_dispatch,
 )
-from cubeperc.critical import pc_expansion_reference
+from cubeperc.critical import pc_expansion_reference, solve_pc
+from cubeperc.cube import CubeDim, PathList
 
 
 def _read_csv(path):
@@ -121,9 +122,13 @@ def test_unconverged_solver_exits_3(tmp_path):
     (["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1", "--pc", "0.12"], EXIT_USAGE,
      "above 1"),
     (["pc-solve", "--n", "6", "--lambda", "-1"], EXIT_USAGE, "lambda must be positive"),
+    (["pc-solve", "--n", "4", "--lambda", "nan", "--replicates-cap", "64"], EXIT_USAGE,
+     "lambda must be positive"),
+    (["pc-solve", "--n", "4", "--tol-p", "nan"], EXIT_USAGE, "tol_p must be positive"),
     (["sweep", "--n", "6", "--eps", "0", *_TINY_BUDGET], EXIT_UNCONVERGED,
      "threshold solver did not converge"),
-], ids=["triangle", "oracle", "duality", "sprinkle", "pc-solve", "sweep"])
+], ids=["triangle", "oracle", "duality", "sprinkle", "pc-solve", "pc-solve-nan-lambda",
+        "pc-solve-nan-tol", "sweep"])
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code, message):
     out = tmp_path / "out"
     assert parse_and_dispatch(argv + ["--out", str(out)]) == code
@@ -159,6 +164,28 @@ def test_sweep_row_count_and_byte_identical_rerun(tmp_path):
     assert parse_and_dispatch(args) == EXIT_OK
     assert (out / "sweep.csv").read_bytes() == first
     assert (out / "regime_summary.csv").read_bytes() == first_summary
+
+
+def test_sweep_with_a_tiny_eps_has_an_infinite_below_scale(tmp_path):
+    # eps^2 underflows to 0 although eps itself is not 0
+    out = tmp_path / "tiny"
+    assert parse_and_dispatch(["sweep", "--n", "6", "--eps", "1e-200", "--pc", "0.2",
+                               "--replicates", "2", "--out", str(out)]) == EXIT_OK
+    rows = _read_csv(out / "sweep.csv")
+    assert rows[1][rows[0].index("ref_below")] == "inf"
+
+
+def test_unexpected_driver_error_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_sweep", broken)
+    out = tmp_path / "sweep"
+    code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "0", "--pc", "0.2",
+                               "--out", str(out)])
+    assert code == EXIT_INTERNAL
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_writes_triangle_when_asked(tmp_path):
@@ -225,6 +252,19 @@ def test_config_file_and_precedence(tmp_path):
                                "--out", str(tmp_path / "c")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("line, message", [
+    ("n 6", "expected `key = value`"),
+    ("n = six", "bad value for 'n'"),
+])
+def test_malformed_config_line_names_its_line(tmp_path, capsys, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# a comment\n{line}\n")
+    code = parse_and_dispatch(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert f"{config}:2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_config_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such.cfg"
     for path in (missing, tmp_path):  # a missing file, then a directory
@@ -264,6 +304,14 @@ def test_sprinkle_and_duality_commands(tmp_path):
     code = parse_and_dispatch(["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1",
                                "--pc", "0.12", "--out", str(tmp_path / "over")])
     assert code == EXIT_USAGE
+
+
+def test_sprinkle_reports_progress_every_25_seeds(tmp_path, capsys):
+    out = tmp_path / "spr"
+    assert parse_and_dispatch(["sprinkle", "--n", "6", "--eps", "0.5", "--seeds", "25",
+                               "--pc", "0.2", "--out", str(out)]) == EXIT_OK
+    assert "sprinkle replicate 25/25" in capsys.readouterr().err
+    assert len(_read_csv(out / "sprinkle.csv")) == 26
 
 
 @pytest.mark.parametrize("command", [["sweep", "--eps", "0"], ["sprinkle"], ["duality"],
@@ -308,9 +356,12 @@ def test_counts_below_one_are_refused_before_solving(tmp_path, capsys, monkeypat
     (["sprinkle", "--n", "12", "--eps", "-0.3", "--seeds", "1"], "eps must be positive"),
     (["sprinkle", "--n", "12", "--eps", "0", "--seeds", "1"], "eps must be positive"),
     (["duality", "--n", "12", "--eps", "-0.3"], "eps must be positive"),
+    (["sprinkle", "--n", "12", "--eps", "nan", "--seeds", "1"], "eps must be positive"),
+    (["duality", "--n", "12", "--eps", "nan"], "eps must be positive"),
     (["sprinkle", "--n", "12", "--alpha", "2", "--seeds", "1"], "alpha must lie in (0, 1)"),
     (["sprinkle", "--n", "12", "--alpha", "0", "--seeds", "1"], "alpha must lie in (0, 1)"),
-], ids=["sprinkle-eps", "sprinkle-eps0", "duality-eps", "sprinkle-alpha", "sprinkle-alpha0"])
+], ids=["sprinkle-eps", "sprinkle-eps0", "duality-eps", "sprinkle-eps-nan", "duality-eps-nan",
+        "sprinkle-alpha", "sprinkle-alpha0"])
 def test_eps_and_alpha_are_refused_before_solving(tmp_path, capsys, monkeypatch, argv, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a threshold for a run that is refused")
@@ -335,6 +386,16 @@ def test_triangle_command(tmp_path):
     assert float(report[1][1]) >= 1.0  # nabla_diag counts the w = x = y term
 
 
+def test_driver_solves_its_own_threshold(tmp_path, capsys):
+    # without --pc the triangle runs at the threshold it solves, eps = 0 by default
+    out = tmp_path / "tri"
+    assert parse_and_dispatch(["triangle", "--n", "6", "--replicates", "4",
+                               "--out", str(out)]) == EXIT_OK
+    assert "solving threshold for n=6" in capsys.readouterr().err
+    p_hat = solve_pc(CubeDim(6), 1.0, master_seed=1).p_hat
+    assert float(_read_csv(out / "triangle.csv")[1][0]) == p_hat
+
+
 def test_lemma_check_small(tmp_path):
     out = tmp_path / "lemma"
     code = parse_and_dispatch(["lemma-check", "--n-max", "5",
@@ -348,6 +409,21 @@ def test_lemma_check_small(tmp_path):
         "disjoint-short-paths,40,0,",
         "tail-symmetry-and-bound,495,0,",
     ]
+
+
+def test_lemma_check_violation_exits_4_and_keeps_its_row(tmp_path, capsys, monkeypatch):
+    # a path list built for radius 0 holding an edge: every paths instance fails
+    monkeypatch.setattr(lemmas, "disjoint_short_paths",
+                        lambda dim, s, t, delta: PathList(dim, 0, ((0, 1),)))
+    out = tmp_path / "lemma"
+    code = parse_and_dispatch(["lemma-check", "--n-max", "3", "--harper-instances", "2",
+                               "--overlap-instances", "2", "--paths-instances", "2",
+                               "--out", str(out)])
+    assert code == EXIT_INTERNAL
+    assert "violations found in: disjoint-short-paths" in capsys.readouterr().err
+    rows = _read_csv(out / "lemma_check.csv")
+    assert rows[3][:3] == ["disjoint-short-paths", "4", "4"]
+    assert rows[3][3].endswith("path longer than the bound it was built for")
 
 
 def test_manifest_records_config(tmp_path):

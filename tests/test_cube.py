@@ -95,6 +95,7 @@ def test_harper_ball_growth(n, u, d, seed):
 def test_tail_sum_values():
     assert tail_sum_exact(CubeDim(4), 0) == 11  # 6 + 4 + 1
     assert tail_sum_exact(CubeDim(7), 8) == 0  # empty range
+    assert tail_sum_exact(CubeDim(4), 1.5) == 5  # i >= 2.75: C(4,3) + C(4,4)
     with pytest.raises(ValueError):
         tail_sum_exact(CubeDim(4), -1)
 
@@ -225,10 +226,7 @@ def test_bfs_forest_matches_reference(n, seed):
     rng = np.random.default_rng(seed)
     sources = np.sort(rng.choice(dim.volume, int(rng.integers(1, min(dim.volume, 6) + 1)), replace=False))
     for depth in range(n + 2):
-        dist, pred = _bfs_forest(dim, sources, depth)
-        ref_dist, ref_pred = bfs_forest(n, sources.tolist(), depth)
-        assert dist.tolist() == ref_dist
-        assert pred.tolist() == ref_pred
+        assert _bfs_forest(dim, sources, depth).tolist() == bfs_forest(n, sources.tolist(), depth)
 
 
 def test_paths_suite_counts_pathlist_rejections(monkeypatch):

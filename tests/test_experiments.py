@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cubeperc import reports
 from cubeperc.clusters import label_components, top_two
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
@@ -11,6 +12,8 @@ from cubeperc.experiments import (
     SPRINKLE_SALT,
     DualityReport,
     ObservableFlags,
+    RegimeSummary,
+    SummaryEntry,
     SweepConfig,
     duality_experiment,
     exact_enumerate,
@@ -201,6 +204,17 @@ def test_regime_summary_sections():
     assert any("duality" in line for line in with_dual.lines())
     with pytest.raises(ValueError):
         regime_summary([])
+
+
+def test_summary_rows_render_the_conjecture_rows():
+    summary = RegimeSummary((SummaryEntry("inside", "cmax / V^(2/3)", 0.5, 2),),
+                            duality_ratio=0.75, triangle_offdiag=0.25, triangle_a0=1.5)
+    assert reports.summary_rows(summary) == [
+        ["inside", "cmax / V^(2/3)", 0.5, 2],
+        ["conjecture", "duality c2(+eps)/cmax(-eps)", 0.75, 1],
+        ["conjecture", "triangle nabla_offdiag", 0.25, 1],
+        ["conjecture", "triangle a0", 1.5, 1],
+    ]
 
 
 def test_regime_summary_uses_exact_volume():
