@@ -234,12 +234,18 @@ def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
     for opt in options:
         if opt.required and merged[_key(opt.name)] is None:
             raise UsageError(f"--{opt.name} is required for {subcommand}")
-    for key in ("replicates", "seeds"):
+    for key in ("replicates", "seeds", "harper_instances", "overlap_instances", "paths_instances"):
         if key in merged and merged[key] < 1:
-            raise UsageError(f"--{key} must be >= 1, got {merged[key]}")
+            raise UsageError(f"--{key.replace('_', '-')} must be >= 1, got {merged[key]}")
+    if merged.get("n_max", 2) < 2:  # the paths suite starts at n = 2
+        raise UsageError(f"--n-max must be >= 2, got {merged['n_max']}")
     # checked here, not by the experiment, so that no threshold is solved first
     if subcommand in ("sprinkle", "duality") and not merged["eps"] > 0.0:
         raise UsageError("eps must be positive")
+    if merged.get("p") is not None and not np.isfinite(merged["p"]):
+        raise UsageError(f"--p {merged['p']} is not finite")
+    if merged.get("p") is None and not np.isfinite(merged.get("eps", 0.0)).all():
+        raise UsageError("eps must be finite")  # --p overrides eps
     if "alpha" in merged and not 0.0 < merged["alpha"] < 1.0:
         raise UsageError("alpha must lie in (0, 1)")
     pc = merged.get("pc")

@@ -163,40 +163,51 @@ def _krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _walsh_hadamard(f: np.ndarray, n: int) -> np.ndarray:
-    """Walsh-Hadamard transform of a length-2^n vector, in n butterfly passes.
+    """Walsh-Hadamard transform of a length-2^n vector, index bits rotated.
 
-    A pass over a low bit would run numpy's inner loop over a few elements
-    only, so each half of the bits is transformed while it sits on top: the
-    high half first, then the low half after a transposed copy, which a
-    second copy undoes.
+    Each butterfly pass writes a + b and a - b into a second buffer, and the
+    buffers swap.  A pass over a low bit would run numpy's inner loop over a
+    few elements only, so each half of the bits is transformed while it sits
+    on top: the high half, then the low half after a transposed copy.  No copy
+    undoes it, so coefficient s sits at a rotation of s, which keeps the
+    popcount, the only thing `_weight_sums` reads.
     """
-    for low in (n // 2, n - n // 2):
+    g = np.empty_like(f)
+    for half, low in enumerate((n // 2, n - n // 2)):
         for i in range(low, n):
-            pairs = f.reshape(-1, 2, 1 << i)
-            a, b = pairs[:, 0], pairs[:, 1]
-            a += b
-            b *= -2
-            b += a
-        f = f.reshape(-1, 1 << low).T.copy().reshape(-1)
+            a, b = f.reshape(-1, 2, 1 << i), g.reshape(-1, 2, 1 << i)
+            np.add(a[:, 0], a[:, 1], out=b[:, 0])
+            np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+            f, g = g, f
+        if half == 0:
+            g.reshape(1 << low, -1)[...] = f.reshape(-1, 1 << low).T
+            f, g = g, f
     return f
+
+
+@lru_cache(maxsize=None)
+def _popcount_order(k: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The indices 0..2^k - 1 sorted by popcount, read-only, and where each popcount starts."""
+    weights = np.bitwise_count(np.arange(1 << k))
+    order = np.argsort(weights, kind="stable")
+    order.setflags(write=False)
+    return order, tuple(np.searchsorted(weights[order], np.arange(k + 1)).tolist())
 
 
 def _weight_sums(spectrum: np.ndarray, n: int) -> list[int]:
     """S_w, the sum of spectrum(s)^2 over the indices s of popcount w, exact.
 
-    Folds the top index bit away n times; row w of the folded array holds
-    the sums over the folded bits of weight w.
+    The index splits into a high half of n - k bits and a low half of k:
+    the squares are summed along each row by the low half's popcount, then
+    down the columns by the high half's, and S_w is the sum of the table
+    entries (a, b) with a + b = w, an antidiagonal.
     """
-    sq = spectrum.astype(np.int64)
+    k = n // 2
+    (lo, lo_at), (hi, hi_at) = _popcount_order(k), _popcount_order(n - k)
+    sq = spectrum.reshape(-1, 1 << k).take(lo, axis=1).astype(np.int64)
     sq *= sq
-    t = sq[None, :]
-    for _ in range(n):
-        half = t.shape[1] // 2
-        folded = np.zeros((t.shape[0] + 1, half), dtype=np.int64)
-        folded[:-1] = t[:, :half]
-        folded[1:] += t[:, half:]
-        t = folded
-    return t[:, 0].tolist()
+    table = np.add.reduceat(np.add.reduceat(sq, lo_at, axis=1).take(hi, axis=0), hi_at, axis=0)
+    return [int(np.fliplr(table).trace(k - w)) for w in range(n + 1)]
 
 
 def _direct_census(members: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
@@ -206,6 +217,7 @@ def _direct_census(members: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray
     itself a block of components (or, for large s, of rows) at a time.
     """
     counts = np.zeros(n + 1, dtype=np.int64)
+    members = members.astype(np.min_scalar_type((1 << n) - 1))
     starts = np.flatnonzero(np.diff(sizes, prepend=0))
     for a, b in zip(starts.tolist(), starts[1:].tolist() + [sizes.shape[0]]):
         s = int(sizes[a])
@@ -223,29 +235,30 @@ def pair_census(labeling: ClusterLabeling) -> np.ndarray:
     """Ordered same-component pair counts by distance k = 0..n, exact.
 
     Every vertex pairs with itself at distance 0, so entry 0 is always 2^n.
-    A component C with |C|^2 > n 2^n is counted through the Walsh-Hadamard
-    transform f^ of its indicator: the pairs at distance k number
-    2^-n sum_w K_k(w) S_w, with S_w the sum of f^(s)^2 over |s| = w and K_k
-    the Krawtchouk polynomial.  f^ is exact in int32 (|f^| <= |C| <= 2^28)
-    and S_w in int64 (S_w <= 2^n |C| <= 2^56); the contraction runs in
-    Python integers.  Components of one to three vertices are counted in
-    closed form; the rest are counted directly, by the popcount of the XOR
-    of every member pair, batched by component size.  Working memory is
-    O(2^n).
+    A component C with 4 |C|^2 > n 2^n, about where the two paths cost the
+    same, is counted through the Walsh-Hadamard transform f^ of its
+    indicator: the pairs at distance k number 2^-n sum_w K_k(w) S_w, with
+    S_w the sum of f^(s)^2 over |s| = w and K_k the Krawtchouk polynomial.
+    f^ is exact in int16 up to n = 14 and in int32 above (|f^| <= |C| <= 2^n)
+    and S_w in int64 (S_w <= 2^n |C| <= 2^56); the contraction runs in Python
+    integers.  Components of one to three vertices are counted in closed
+    form; the rest are counted directly, by the popcount of the XOR of every
+    member pair, batched by component size.  Working memory is O(2^n).
     """
     n, v_count = labeling.dim.n, labeling.dim.volume
     root_of, size_by_root = labeling.root_of, labeling.size_by_root
-    cut = math.isqrt(n * v_count)
+    cut = math.isqrt(n * v_count // 4)
+    dtype = np.int16 if n <= 14 else np.int32
     spectral = [0] * (n + 1)
     for root in np.flatnonzero(size_by_root > cut).tolist():
-        spectrum = _walsh_hadamard((root_of == root).astype(np.int32), n)
+        spectrum = _walsh_hadamard((root_of == root).astype(dtype), n)
         spectral = [a + b for a, b in zip(spectral, _weight_sums(spectrum, n))]
     totals = [sum(map(operator.mul, row, spectral)) for row in _krawtchouk_table(n)]
     assert all(t % v_count == 0 for t in totals), "spectral census must divide by 2^n"
     counts = np.array([t // v_count for t in totals], dtype=np.int64)
     # components of 1, 2 and 3 vertices in closed form, ordered pairs by
     # distance: Q_n has no triangles, so 3 connected vertices form a path;
-    # only sizes up to the cut, which is 1 at n = 1 and 2 at n = 2
+    # only sizes up to the cut, which is 0 at n = 1 and 1 at n = 2
     small = min(3, cut)
     for size, row in enumerate(((1,), (2, 2), (3, 4, 2))[:small], start=1):
         counts[:size] += int(np.count_nonzero(size_by_root == size)) * np.array(row)

@@ -373,6 +373,32 @@ def test_eps_and_alpha_are_refused_before_solving(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+class _Solved(Exception):
+    """Raised by a patched threshold solver: a solve was started."""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--eps=nan"], "eps must be finite"),
+    (["--eps=inf"], "eps must be finite"),
+    (["--eps=-inf"], "eps must be finite"),
+    (["--p=nan"], "--p nan is not finite"),
+    (["--p=inf"], "--p inf is not finite"),
+    (["--p=-inf"], "--p -inf is not finite"),
+], ids=["eps-nan", "eps-inf", "eps-neg-inf", "p-nan", "p-inf", "p-neg-inf"])
+def test_triangle_refuses_a_non_finite_density_before_solving(tmp_path, capsys, monkeypatch,
+                                                               argv, message):
+    def solve(*args, **kwargs):
+        raise _Solved
+
+    monkeypatch.setattr(cli, "solve_pc", solve)
+    out = tmp_path / "none"
+    assert parse_and_dispatch(["triangle", "--n", "8", *argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    assert "solving" not in err
+    assert not out.exists()
+
+
 def test_triangle_command(tmp_path):
     out = tmp_path / "tri"
     code = parse_and_dispatch(["triangle", "--n", "6", "--p", "0.15",
@@ -409,6 +435,23 @@ def test_lemma_check_small(tmp_path):
         "disjoint-short-paths,40,0,",
         "tail-symmetry-and-bound,495,0,",
     ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n-max", "0"], "--n-max must be >= 2, got 0"),
+    (["--n-max", "1"], "--n-max must be >= 2, got 1"),
+    (["--harper-instances", "0"], "--harper-instances must be >= 1, got 0"),
+    (["--overlap-instances", "0"], "--overlap-instances must be >= 1, got 0"),
+    (["--paths-instances", "-1"], "--paths-instances must be >= 1, got -1"),
+], ids=["n-max-0", "n-max-1", "harper-0", "overlap-0", "paths-neg"])
+def test_lemma_check_refuses_an_empty_suite_before_any_suite(tmp_path, capsys, argv, message):
+    # a suite with no instances would report "ok" having checked nothing
+    out = tmp_path / "lemmas"
+    assert parse_and_dispatch(["lemma-check", *argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    assert "violations" not in err  # no suite reported progress
+    assert not out.exists()
 
 
 def test_lemma_check_violation_exits_4_and_keeps_its_row(tmp_path, capsys, monkeypatch):

@@ -243,12 +243,11 @@ def _pairs_and_paths(dim: CubeDim):
                                   "pairs_and_paths"])
 @pytest.mark.parametrize("n", [10, 13])
 def test_pair_census_fixed_cases(n, case):
-    # a component takes the spectral path when |C|^2 > n 2^n, i.e. |C| > cut:
-    # 101 at n = 10; 326 at n = 13, where a direct component of size cut no
-    # longer fits one XOR chunk and is taken in blocks of rows; components of
-    # 2 and 3 vertices are counted in closed form
+    # a component takes the spectral path when 4 |C|^2 > n 2^n, i.e. |C| > cut:
+    # 50 at n = 10 and 163 at n = 13; components of 2 and 3 vertices are
+    # counted in closed form
     dim = CubeDim(n)
-    cut = math.isqrt(dim.n * dim.volume)
+    cut = math.isqrt(dim.n * dim.volume // 4)
     if case in ("empty", "full"):
         g = sample_subgraph(dim, 0.0 if case == "empty" else 1.0, SeedSpec(0))
     elif case == "pairs_and_paths":
@@ -267,6 +266,44 @@ def test_pair_census_fixed_cases(n, case):
         # a path (4 at distance 1, 2 at distance 2)
         blocks = dim.volume // 8
         assert census.tolist() == [dim.volume, blocks * 3, blocks] + [0] * (dim.n - 2)
+
+
+def test_direct_census_in_blocks_of_rows():
+    # no direct component reaches one XOR chunk below the cut up to n = 14
+    # (239^2 < 2^16), so the row blocks are called directly: 300 members are
+    # XORed 218 rows at a time
+    dim, size = CubeDim(10), 300
+    assert size * size > stats.PAIR_CHUNK
+    path = gray_path(dim.n)[:size]
+    expected = reference_pair_census(path_graph(dim, path))
+    expected[0] -= dim.volume - size  # the singletons off the path
+    got = stats._direct_census(np.array(path, dtype=np.int64), np.full(size, size), dim.n)
+    assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_pair_census_of_the_full_cube_at_the_transform_dtype_edge(n):
+    # the largest coefficient is f^(0) = 2^n: 16,384 fits the int16 transform
+    # at n = 14, and 32,768 at n = 15 is taken in int32
+    dim = CubeDim(n)
+    census = pair_census(label_components(sample_subgraph(dim, 1.0, SeedSpec(0))))
+    assert census.tolist() == [dim.volume * math.comb(n, k) for k in range(n + 1)]
+
+
+@given(n=st.integers(1, 8), seed=st.integers(0, 10**6),
+       dtype=st.sampled_from([np.int16, np.int32]))
+@settings(deadline=None, max_examples=60)
+def test_weight_sums_of_the_fast_transform_match_the_definition(n, seed, dtype):
+    # the fast transform leaves its index bits rotated; the weight sums read
+    # only popcounts, so they match those of f^(s) = sum_x (-1)^|s & x| f(x)
+    v = np.arange(1 << n)
+    f = np.random.default_rng(seed).integers(-64, 65, 1 << n)
+    signs = 1 - 2 * (np.bitwise_count(v[:, None] & v[None, :]).astype(np.int64) & 1)
+    spectrum = signs @ f
+    weights = np.bitwise_count(v)
+    expected = [int((spectrum[weights == w] ** 2).sum()) for w in range(n + 1)]
+    fast = stats._walsh_hadamard(f.astype(dtype), n)
+    assert stats._weight_sums(fast, n) == expected
 
 
 def test_pair_census_memory_is_bounded_per_vertex():
