@@ -192,8 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for opt in options:
             sp.add_argument(f"--{opt.name}", dest=_key(opt.name), type=opt.typ,
                             default=None, help=opt.help)
-        # let grid values like `--eps -0.3,0,0.3` pass as option values
-        sp._negative_number_matcher = re.compile(r"^-\d+\.?\d*(,.*)?$")
+        # let values like `--eps -1e-05`, `-.5` or `-0.3,0,0.3` pass as option
+        # values; no option name starts with a digit or a dot
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -361,7 +362,8 @@ def _cmd_oracle(cfg: dict[str, Any]) -> Run:
                             range(cfg["replicates"]))
     mc = Estimate.from_samples(st.chi)
     gap = abs(mc.mean - oracle.chi_exact)
-    sigmas = gap / mc.std_error if mc.std_error > 0 else 0.0
+    # one replicate has se 0: a nonzero gap is then infinitely many se, a zero gap none
+    sigmas = gap / mc.std_error if mc.std_error > 0 else (np.inf if gap else 0.0)
     header = ["n", "p", "chi_exact", "e_cmax_exact", "chi_mc_mean", "chi_mc_se",
               "replicates", "abs_gap", "gap_sigmas"]
     row = [oracle.n, oracle.p, oracle.chi_exact, oracle.e_cmax_exact,

@@ -1,31 +1,28 @@
 """Connected-component labeling of bond configurations and the component census.
 
-Labeling is the hook-and-jump method of Shiloach and Vishkin (J. Algorithms
-3 (1982) 57-67), vectorized over all occupied edges at once.  Each round
-maps every live pair of edge endpoints to their parents, drops the pairs
-that agree, hooks the larger parent of each other pair onto the smallest one
-paired with it, and doubles pointers over the hooked vertices until each
-points at a root.  Before the rounds, a dense batch (an edge per eight
-vertices or more) is hooked whole and every vertex jumped to its root,
-which leaves the rounds few live pairs; a join's edges are first mapped to
-pairs of start roots.  Parents never exceed their vertex, and each
-component is labeled by its smallest vertex.  The doubling saves rounds, not correctness.
-After a first round that reads every endpoint's parent as a root (so a start
-must be resolved), each entry v of a live pair has p[v] among the entries
-and a path of live pairs to it; a round keeps this, as each new entry is
-p[c] for an old entry c, and mapping the path from c to p[c] onto parents
-gives one from p[c] to p[p[c]].  A hook points x at a vertex paired with x
-and a jump points v at p[p[v]], so no link is cut that the pairs do not
-hold, and once no pair is live every tree is a component.
-The rounds close with one gather over every vertex.  When they begin,
-every vertex points at a root (itself, its start root, or its root after the
-dense batch's jumps).  A round writes only the roots it hooks and leaves each
-pointing at a root; hooked, they are roots no longer, so no later round
-writes them again.  Taken from the last round back, each round's hooked
-roots point at roots that are final or were hooked later and already point
-at final roots, so one gather per round settles them.  Every other vertex
-then points at a round-start root that is final or settled, and
-p[v] <- p[p[v]] over all v ends the labeling.
+Labeling is the hook-and-jump method of Shiloach and Vishkin (J. Algorithms 3
+(1982) 57-67), vectorized over all occupied edges at once.  Each round maps
+every live pair of edge endpoints to their parents, drops the pairs that agree,
+hooks the larger parent of each other pair onto the smallest one paired with
+it, and jumps each hooked vertex once, p[v] <- p[p[v]].  Before the rounds, a
+dense batch (an edge per eight vertices or more) is hooked whole and every
+vertex jumped to its root, which leaves the rounds few live pairs; a join's
+edges are first mapped to pairs of start roots.  Parents never exceed their
+vertex, and each component is labeled by its smallest vertex.  The jumps save
+rounds, not correctness.  After a first round that reads every endpoint's
+parent as a root (so a start must be resolved), each entry v of a live pair has
+p[v] among the entries and a path of live pairs to it; a round keeps this, as
+each new entry is p[c] for an old entry c, and mapping the path from c to p[c]
+onto parents gives one from p[c] to p[p[c]].  A hook points x at a vertex
+paired with x and a jump points v at p[p[v]], so no link is cut that the pairs
+do not hold, and once no pair is live every tree is a component.
+When the rounds begin, every vertex points at a root (itself, its start root,
+or its root after the dense batch's jumps); call these roots R.  The first
+entries lie in R, and a round writes only at entries, and only entries or
+parents of parents of entries, so every entry, and every parent of a vertex of
+R, stays in R.  A vertex no round wrote thus points at a vertex of R that is a
+final root or written, and jumping the written vertices to their roots, then
+p[v] <- p[p[v]] over all v, ends the labeling whatever the rounds did.
 """
 
 from __future__ import annotations
@@ -147,15 +144,14 @@ def label_components(graph: OccupiedGraph, start: np.ndarray | None = None) -> C
         del a, b
     if 8 * lo.size >= graph.dim.volume:
         # a dense batch is hooked whole and every vertex jumped to its root;
-        # a sparse one goes straight to the rounds, whose doubling reads only
-        # the roots it hooked instead of every vertex
+        # a sparse one goes straight to the rounds, whose jumps read only the
+        # vertices they hook instead of every vertex
         np.minimum.at(parent, hi, lo)
         parent = _jump_all(parent)
     hooked = []
     while True:
-        # every endpoint in lo and hi points at its root here; each pair array
-        # but the hooked roots is freed as soon as it is read, so at most four
-        # live at once besides them
+        # each pair array but the hooked vertices is freed as soon as it is
+        # read, so at most four live at once besides them
         a = parent[lo]
         del lo
         b = parent[hi]
@@ -170,22 +166,20 @@ def label_components(graph: OccupiedGraph, start: np.ndarray | None = None) -> C
         lo = np.minimum(a, b, out=a)
         del a, b
         np.minimum.at(parent, hi, lo)
-        # only the roots in hi moved, each onto a smaller root that is either
-        # still a root or in hi itself, so doubling over hi alone takes every
-        # endpoint to its root; as in _jump_all, equal sums mean a fixed point
-        ph = parent[hi]
-        total = np.add.reduce(ph)
-        while total != (total := np.add.reduce(pph := parent[ph])):
-            parent[hi] = ph = pph
+        parent[hi] = parent[parent[hi]]
         hooked.append(hi)
     del a, b, live
     if hooked:
-        # a round's hooked roots point at roots that a later round may hook:
-        # settled from the last round back, one gather each, they point at
-        # final roots, and every other vertex sits at most one step below one
-        for i in range(len(hooked) - 2, -1, -1):
-            parent[hooked[i]] = parent[parent[hooked[i]]]
+        # each unwritten vertex points at a root or a written one; as in
+        # _jump_all, equal sums mean a fixed point, and with entries below 2^n
+        # the sum nears 2^63 only past 2^(63-n) of them (256 GiB at n = 28)
+        moved = np.concatenate(hooked)
         del hooked
+        pm = parent[moved]
+        total = np.add.reduce(pm)
+        while total != (total := np.add.reduce(ppm := parent[pm])):
+            parent[moved] = pm = ppm
+        del moved, pm, ppm
         parent = parent.take(parent)
     # bincount takes intp parents without a copy, and they are freed before the census
     size_by_root = np.bincount(parent, minlength=graph.dim.volume)

@@ -44,6 +44,28 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert (out / "manifest.txt").exists()
 
 
+def test_oracle_gap_against_one_replicate_reads_infinite_sigmas(tmp_path, capsys):
+    # n = 1: chi is 1 or 2 in every replicate against an exact 1.5, and one
+    # replicate has se 0
+    out = tmp_path / "oracle"
+    assert parse_and_dispatch(["oracle", "--n", "1", "--p", "0.5", "--replicates", "1",
+                               "--out", str(out)]) == EXIT_OK
+    assert "gap       = 0.500000 (inf standard errors)" in capsys.readouterr().out
+    rows = _read_csv(out / "oracle.csv")
+    assert rows[1][rows[0].index("chi_mc_se")] == "0.0"
+    assert rows[1][rows[0].index("gap_sigmas")] == "inf"
+
+
+@pytest.mark.parametrize("argv, eps", [
+    (["triangle", "--eps", "-1e-05"], -1e-05),
+    (["triangle", "--eps", "-.5"], -0.5),
+    (["sweep", "--eps", "-1E-3,0"], (-1e-3, 0.0)),
+    (["sweep", "--eps", "-0.45,0,0.45"], (-0.45, 0.0, 0.45)),
+], ids=["exponent", "leading-dot", "grid-exponent", "grid"])
+def test_negative_eps_in_any_float_spelling_is_an_option_value(argv, eps):
+    assert cli._build_parser().parse_args(argv).eps == eps
+
+
 def test_invalid_flag_exits_2(capsys):
     assert parse_and_dispatch(["oracle", "--n", "two", "--p", "0.5"]) == EXIT_USAGE
     assert parse_and_dispatch(["oracle", "--p", "0.5"]) == EXIT_USAGE  # missing --n

@@ -88,6 +88,32 @@ def test_agrees_with_bfs_reference(n, p, rep):
     assert np.array_equal(lab.root_of, ref_label)
 
 
+def test_every_q3_configuration_cold_and_joined_one_edge_at_a_time():
+    # the 4,096 configurations of Q_3's 12 edges as one graph on Q_15, as
+    # exact_enumerate embeds them: vertex 8 mask + x is vertex x of
+    # configuration mask, and only the first 3 directions carry edges
+    n, m = 3, 12
+    dim = CubeDim(n + m)
+    occupied = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+    planes = np.zeros((n + m, dim.volume // 2), dtype=bool)
+    planes[:n] = occupied.reshape(-1, n, 4).transpose(1, 0, 2).reshape(n, -1)
+    whole = OccupiedGraph(dim, planes)
+    lab = label_components(whole)
+    ref_label, ref_sizes = bfs_component_sizes(whole)
+    assert np.array_equal(lab.root_of, ref_label)
+    assert lab.sizes_desc.tolist() == ref_sizes.tolist()
+    for e in range(m):
+        # edge e of every configuration: direction e // 4, slot e % 4 of each 4
+        edge = np.zeros_like(planes)
+        edge[e // 4, e % 4::4] = planes[e // 4, e % 4::4]
+        rest = label_components(OccupiedGraph(dim, planes & ~edge))
+        batch = OccupiedGraph(dim, edge)
+        joined = label_components(batch, rest.root_of)
+        assert np.array_equal(joined.root_of, union_find_join(rest.root_of, batch))
+        assert np.array_equal(joined.root_of, lab.root_of)
+        assert np.array_equal(joined.size_by_root, lab.size_by_root)
+
+
 def _descending_path(n):
     # 2^n - 1 down to 0, clearing the highest set bit at each step
     return [(1 << k) - 1 for k in range(n, -1, -1)]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeperc import gen, stats
-from cubeperc.clusters import count_z_geq, label_components, top_two
+from cubeperc.clusters import ClusterLabeling, count_z_geq, label_components, top_two
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
 from cubeperc.gen import SeedSpec, sample_subgraph
@@ -288,6 +288,28 @@ def test_pair_census_of_the_full_cube_at_the_transform_dtype_edge(n):
     dim = CubeDim(n)
     census = pair_census(label_components(sample_subgraph(dim, 1.0, SeedSpec(0))))
     assert census.tolist() == [dim.volume * math.comb(n, k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("rep", [1, 2])
+@pytest.mark.parametrize("n", [15, 16])
+def test_spectral_census_above_the_cut_matches_the_direct_census(n, rep):
+    # at p_c the components above the cut (350 at n = 15, 512 at n = 16) have
+    # 410 to 1,010 vertices: spectra of the int32 transform, and of n = 15's
+    # odd split of the index bits, other than the full cube's single spike
+    dim = CubeDim(n)
+    lab = label_components(sample_subgraph(dim, pc_expansion_reference(n), SeedSpec(2026, rep)))
+    big = lab.size_by_root[lab.root_of] > math.isqrt(n * dim.volume // 4)
+    members = np.flatnonzero(big)
+    assert members.size
+    # the same components with every other vertex a singleton
+    root_of = np.where(big, lab.root_of, np.arange(dim.volume, dtype=np.int32))
+    alone = ClusterLabeling(dim, root_of, np.bincount(root_of, minlength=dim.volume))
+    spectral = pair_census(alone)
+    spectral[0] -= dim.volume - members.size
+    roots = lab.root_of[members].astype(np.int64)
+    order = np.argsort(lab.size_by_root[roots] << n | roots)
+    direct = stats._direct_census(members[order], lab.size_by_root[roots[order]], n)
+    assert spectral.tolist() == direct.tolist()
 
 
 @given(n=st.integers(1, 8), seed=st.integers(0, 10**6),
