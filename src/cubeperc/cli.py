@@ -8,10 +8,17 @@ command line > config file > defaults; the config file is flat
 `key = value` text using the long option names, and unknown keys are
 rejected.
 
-Exit codes: 0 success, 2 usage or validation error, 3 unconverged threshold
-solve (in any subcommand), 4 internal error.  A subcommand returns its tables
-and the dispatcher writes them with the manifest, so a run that fails before
-returning writes nothing, not even its output directory.
+Every input is checked before any threshold is solved: an option's type
+holds its own rule, `_merge_config` the rules that span options.  Only three
+refusals wait for the solved threshold p_hat (`_density`):
+- sprinkle: p_hat + eps/n <= 1;
+- duality: p_hat - eps/n and p_hat + eps/n in [0, 1];
+- triangle without --p: p_hat + eps/n in [0, 1].
+The exit code follows the exception type: 0 success, 2 `UsageError` or a
+value argparse refuses, 3 `Unconverged` (a threshold solve in any
+subcommand), 4 a lemma-suite violation or any other exception.  A subcommand
+returns its tables and the dispatcher writes them with the manifest, so a run
+that fails before returning writes nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import math
 import re
 import resource
 import sys
@@ -69,77 +77,96 @@ class Option:
     required: bool = False
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _checked(parse: Callable[[str], Any], rule: str,
+             ok: Callable[[Any], bool]) -> Callable[[str], Any]:
+    """An option type: parse the text, then refuse a value that breaks `rule`."""
+    def typ(text: str) -> Any:
+        try:
+            if ok(value := parse(text)):
+                return value
+        except (LookupError, ValueError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+    return typ
 
 
-def _bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return text == "true"
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    rule = f"an integer >= {low}" if high is None else f"an integer in [{low}, {high}]"
+    return _checked(int, rule, lambda v: low <= v and (high is None or v <= high))
 
+
+_COUNT = _int_in(1)
+_POSITIVE = _checked(float, "a number > 0", lambda v: v > 0.0)  # NaN fails
+_DENSITY = _checked(float, "a density in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_UNIT = _checked(float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0)
+_FINITE = _checked(float, "a finite number", math.isfinite)
+_GRID = _checked(lambda text: tuple(float(tok) for tok in text.split(",") if tok.strip()),
+                 "a comma-separated epsilon grid of one or more finite numbers",
+                 lambda grid: bool(grid) and all(map(math.isfinite, grid)))
+_BOOL = _checked({"true": True, "false": False}.__getitem__, "true or false", lambda v: True)
 
 _COMMON = [
     Option("out", str, None, "output directory (default runs/<subcommand>)"),
-    Option("seed", int, 1, "master seed"),
+    Option("seed", _int_in(0), 1, "master seed"),
     Option("config", str, None, "flat key = value config file"),
 ]
 
 _SOLVER = [
-    Option("lambda", float, DEFAULT_LAMBDA, "susceptibility target multiplier"),
-    Option("tol-p", float, None, "bisection tolerance in p (default window/4)"),
-    Option("replicates-start", int, 64, "replicates at the first schedule level"),
+    Option("lambda", _POSITIVE, DEFAULT_LAMBDA, "susceptibility target multiplier"),
+    Option("tol-p", _POSITIVE, None, "bisection tolerance in p (default window/4)"),
+    Option("replicates-start", _int_in(2), 64, "replicates at the first schedule level"),
     Option("replicates-cap", int, 8192, "replicate cap per midpoint"),
     Option("max-bisections", int, 80, "bisection iteration budget"),
 ]
-_PC = [Option("pc", float, None, "threshold override; skips solving")]
-_N = Option("n", int, None, "cube dimension", required=True)
+_PC = [Option("pc", _DENSITY, None, "threshold override; skips solving")]
+_N = Option("n", _int_in(1, MAX_N), None, "cube dimension", required=True)
 
 OPTIONS: dict[str, list[Option]] = {
     "pc-solve": _COMMON + [_N] + _SOLVER,
     "sweep": _COMMON + _SOLVER + _PC + [
         _N,
-        Option("alpha", float, DEFAULT_ALPHA, "percolation-probability exponent"),
-        Option("eps", _float_list, None, "comma-separated epsilon grid", required=True),
-        Option("replicates", int, 200, "replicates per grid point"),
-        Option("triangle", _bool, False, "also write triangle.csv: true or false"),
+        Option("alpha", _UNIT, DEFAULT_ALPHA, "percolation-probability exponent"),
+        Option("eps", _GRID, None, "comma-separated epsilon grid", required=True),
+        Option("replicates", _COUNT, 200, "replicates per grid point"),
+        Option("triangle", _BOOL, False, "also write triangle.csv: true or false"),
     ],
     "sprinkle": _COMMON + _SOLVER + _PC + [
         _N,
-        Option("eps", float, 0.3, "eps = n(p - p_hat) of the merged density, > 0"),
-        Option("alpha", float, DEFAULT_ALPHA, "component-size exponent"),
-        Option("seeds", int, 100, "number of independent repetitions"),
+        Option("eps", _POSITIVE, 0.3, "eps = n(p - p_hat) of the merged density, > 0"),
+        Option("alpha", _UNIT, DEFAULT_ALPHA, "component-size exponent"),
+        Option("seeds", _COUNT, 100, "number of independent repetitions"),
     ],
     "duality": _COMMON + _SOLVER + _PC + [
         _N,
-        Option("eps", float, 0.3, "eps = n(p - p_hat) of the upper side, mirrored below"),
-        Option("replicates", int, 100, "matched replicates per side"),
+        Option("eps", _POSITIVE, 0.3, "eps = n(p - p_hat) of the upper side, mirrored below"),
+        Option("replicates", _COUNT, 100, "matched replicates per side"),
     ],
     "triangle": _COMMON + _SOLVER + _PC + [
         _N,
-        Option("p", float, None, "density (overrides eps)"),
-        Option("eps", float, 0.0, "eps = n(p - p_hat), the density's offset"),
-        Option("replicates", int, 50, "replicates for the two-point profile"),
+        Option("p", _DENSITY, None, "density (overrides eps)"),
+        Option("eps", _FINITE, 0.0, "eps = n(p - p_hat), the density's offset"),
+        Option("replicates", _COUNT, 50, "replicates for the two-point profile"),
     ],
     "oracle": _COMMON + [
-        Option("n", int, None, "cube dimension (1..3)", required=True),
-        Option("p", float, None, "bond density", required=True),
-        Option("replicates", int, 2000, "Monte Carlo replicates for the cross-check"),
+        Option("n", _int_in(1, 3), None, "cube dimension (1..3)", required=True),
+        Option("p", _DENSITY, None, "bond density", required=True),
+        Option("replicates", _COUNT, 2000, "Monte Carlo replicates for the cross-check"),
     ],
     "lemma-check": _COMMON + [
-        Option("n-max", int, 12, "largest dimension for the randomized suites"),
-        Option("harper-instances", int, 10_000, "ball-growth instances per dimension"),
-        Option("overlap-instances", int, 1_000, "big-overlap instances per dimension"),
-        Option("paths-instances", int, 100, "path-construction instances per dimension"),
+        Option("n-max", _int_in(2, MAX_N), 12, "largest dimension for the randomized suites"),
+        Option("harper-instances", _COUNT, 10_000, "ball-growth instances per dimension"),
+        Option("overlap-instances", _COUNT, 1_000, "big-overlap instances per dimension"),
+        Option("paths-instances", _COUNT, 100, "path-construction instances per dimension"),
     ],
 }
 
 class UsageError(Exception):
-    pass
+    code = EXIT_USAGE
 
 
 class Unconverged(Exception):
     """The threshold solve spent its budget before it converged."""
+    code = EXIT_UNCONVERGED
 
 
 Table = tuple[Sequence[str], Iterable[Sequence[Any]]]
@@ -183,9 +210,7 @@ def _keep_freed_arrays() -> None:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cubeperc",
-        description="Bond percolation laboratory on the hypercube.",
-    )
+        prog="cubeperc", description="Bond percolation laboratory on the hypercube.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, options in OPTIONS.items():
         sp = sub.add_parser(name)
@@ -211,13 +236,12 @@ def _parse_config_file(path: str, options: list[Option]) -> dict[str, Any]:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected `key = value`")
-        key, _, text = line.partition("=")
-        key = key.strip()
+        key, text = (part.strip() for part in line.split("=", 1))
         if key not in by_name:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[_key(key)] = by_name[key].typ(text.strip())
-        except ValueError as exc:
+            values[_key(key)] = by_name[key].typ(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
@@ -225,50 +249,31 @@ def _parse_config_file(path: str, options: list[Option]) -> dict[str, Any]:
 def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
     options = OPTIONS[subcommand]
     merged = {_key(opt.name): opt.default for opt in options}
-    config_path = getattr(flags, "config", None)
-    if config_path:
-        merged.update(_parse_config_file(config_path, options))
+    if flags.config:
+        merged.update(_parse_config_file(flags.config, options))
     for opt in options:
-        value = getattr(flags, _key(opt.name))
-        if value is not None:
-            merged[_key(opt.name)] = value
-    for opt in options:
+        if getattr(flags, _key(opt.name)) is not None:
+            merged[_key(opt.name)] = getattr(flags, _key(opt.name))
         if opt.required and merged[_key(opt.name)] is None:
             raise UsageError(f"--{opt.name} is required for {subcommand}")
-    for key in ("replicates", "seeds", "harper_instances", "overlap_instances", "paths_instances"):
-        if key in merged and merged[key] < 1:
-            raise UsageError(f"--{key.replace('_', '-')} must be >= 1, got {merged[key]}")
-    if merged.get("n_max", 2) < 2:  # the paths suite starts at n = 2
-        raise UsageError(f"--n-max must be >= 2, got {merged['n_max']}")
-    # checked here, not by the experiment, so that no threshold is solved first
-    if subcommand in ("sprinkle", "duality") and not merged["eps"] > 0.0:
-        raise UsageError("eps must be positive")
-    if merged.get("p") is not None and not np.isfinite(merged["p"]):
-        raise UsageError(f"--p {merged['p']} is not finite")
-    if merged.get("p") is None and not np.isfinite(merged.get("eps", 0.0)).all():
-        raise UsageError("eps must be finite")  # --p overrides eps
-    if "alpha" in merged and not 0.0 < merged["alpha"] < 1.0:
-        raise UsageError("alpha must lie in (0, 1)")
-    pc = merged.get("pc")
-    if pc is not None and not 0.0 <= pc <= 1.0:
-        raise UsageError(f"--pc {pc} is not a density: it must be finite and lie in [0, 1]")
-    for key in ("n", "n_max"):
-        if (merged.get(key) or 0) > MAX_N:
-            raise UsageError(f"--{key.replace('_', '-')} {merged[key]} exceeds {MAX_N}, "
-                             "the largest cube the CLI runs")
+    # each option's own rule is on its type; these rules span options
+    n, eps, lam = merged.get("n"), merged.get("eps"), merged.get("lambda")
+    if lam is not None and merged["replicates_cap"] < merged["replicates_start"]:
+        raise UsageError("--replicates-cap must be >= --replicates-start")
+    if lam is not None and not 1.0 <= lam * 2.0 ** (n / 3.0) <= 2.0 ** n:
+        raise UsageError(f"--lambda {lam} puts the target lambda 2^(n/3) outside [1, 2^{n}]")
+    # p_hat + eps/n leaves [0, 1] for every p_hat once |eps| > n (a sweep skips such points)
+    if isinstance(eps, float) and merged.get("p") is None and abs(eps) > n:
+        raise UsageError(f"--eps {eps} lies outside [-{n}, {n}]: no threshold gives a density")
     merged["subcommand"] = subcommand
     return merged
 
 
 def _manifest(cfg: dict[str, Any], started: float, outputs: list[str]) -> dict[str, Any]:
     entries: dict[str, Any] = {"version": __version__, "numpy_version": np.__version__}
-    for key in sorted(cfg):
-        if key == "config":
-            continue
+    for key in sorted(cfg.keys() - {"config"}):
         value = cfg[key]
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        entries[key] = value
+        entries[key] = ",".join(str(v) for v in value) if isinstance(value, tuple) else value
     entries["outputs"] = ",".join(outputs)
     entries["started_utc"] = datetime.now(timezone.utc).isoformat()
     entries["wall_clock_seconds"] = time.perf_counter() - started
@@ -284,6 +289,13 @@ def _solve(cfg: dict[str, Any]) -> PcResult:
                                  max_bisections=cfg["max_bisections"])
     return solve_pc(CubeDim(cfg["n"]), cfg["lambda"], cfg["tol_p"], schedule,
                     master_seed=cfg["seed"])
+
+
+def _density(p_hat: float, eps: float, n: int) -> float:
+    """p_hat + eps/n, refused when the solved threshold puts it outside [0, 1]."""
+    if not 0.0 <= (p := p_hat + eps / n) <= 1.0:
+        raise UsageError(f"p_hat = {p_hat} and eps = {eps} put p_hat + eps/n = {p} outside [0, 1]")
+    return p
 
 
 def _p_hat(cfg: dict[str, Any]) -> float:
@@ -323,6 +335,7 @@ def _cmd_sweep(cfg: dict[str, Any]) -> Run:
 
 def _cmd_sprinkle(cfg: dict[str, Any]) -> Run:
     p_hat = _p_hat(cfg)
+    _density(p_hat, cfg["eps"], cfg["n"])
     runs = []
     for r in range(cfg["seeds"]):
         runs.append(sprinkling_experiment(cfg["n"], cfg["eps"], cfg["alpha"],
@@ -335,17 +348,17 @@ def _cmd_sprinkle(cfg: dict[str, Any]) -> Run:
 
 
 def _cmd_duality(cfg: dict[str, Any]) -> Run:
-    report = duality_experiment(cfg["n"], cfg["eps"], cfg["replicates"], cfg["seed"],
-                                _p_hat(cfg))
+    p_hat = _p_hat(cfg)
+    for side in (-1.0, 1.0):
+        _density(p_hat, side * cfg["eps"], cfg["n"])
+    report = duality_experiment(cfg["n"], cfg["eps"], cfg["replicates"], cfg["seed"], p_hat)
     return Run({"duality.csv": (reports.DUALITY_HEADER, reports.duality_rows(report))},
                [f"duality ratio mean|C2|({report.p_above:.5f}) / mean|Cmax|"
                 f"({report.p_below:.5f}) = {report.ratio_of_means:.4f}"])
 
 
 def _cmd_triangle(cfg: dict[str, Any]) -> Run:
-    p = cfg["p"] if cfg["p"] is not None else _p_hat(cfg) + cfg["eps"] / cfg["n"]
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"density {p} outside [0, 1]")
+    p = cfg["p"] if cfg["p"] is not None else _density(_p_hat(cfg), cfg["eps"], cfg["n"])
     dim = CubeDim(cfg["n"])
     (st,) = replicate_stats(dim, (p,), cfg["seed"], range(cfg["replicates"]), census=True)
     profile = two_point_profile(dim, st.census)
@@ -358,8 +371,7 @@ def _cmd_triangle(cfg: dict[str, Any]) -> Run:
 
 def _cmd_oracle(cfg: dict[str, Any]) -> Run:
     oracle = exact_enumerate(cfg["n"], cfg["p"])
-    (st,) = replicate_stats(CubeDim(cfg["n"]), (cfg["p"],), cfg["seed"],
-                            range(cfg["replicates"]))
+    (st,) = replicate_stats(CubeDim(cfg["n"]), (cfg["p"],), cfg["seed"], range(cfg["replicates"]))
     mc = Estimate.from_samples(st.chi)
     gap = abs(mc.mean - oracle.chi_exact)
     # one replicate has se 0: a nonzero gap is then infinitely many se, a zero gap none
@@ -404,9 +416,8 @@ _DISPATCH = {
 
 def parse_and_dispatch(argv: list[str]) -> int:
     _keep_freed_arrays()
-    parser = _build_parser()
     try:
-        flags = parser.parse_args(argv)
+        flags = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -417,12 +428,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
         for name, (header, rows) in run.tables.items():
             reports.write_csv(out / name, header, rows)
         reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, list(run.tables)))
-    except Unconverged as exc:
+    except (UsageError, Unconverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNCONVERGED
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.code
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

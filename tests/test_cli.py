@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import platform
@@ -9,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubeperc
 from cubeperc import cli, lemmas
@@ -22,8 +26,9 @@ from cubeperc.cli import (
     _parse_config_file,
     parse_and_dispatch,
 )
-from cubeperc.critical import pc_expansion_reference, solve_pc
+from cubeperc.critical import PcResult, pc_expansion_reference, solve_pc
 from cubeperc.cube import CubeDim, PathList
+from cubeperc.stats import Estimate
 
 
 def _read_csv(path):
@@ -85,7 +90,8 @@ def test_oversized_n_is_refused_before_allocating(tmp_path, capsys, argv):
     finally:
         tracemalloc.stop()
     assert code == EXIT_USAGE
-    assert f"--n {MAX_N + 1} exceeds {MAX_N}" in capsys.readouterr().err
+    assert f"--n: expected an integer in [1, {MAX_N}], got '{MAX_N + 1}'" in \
+        capsys.readouterr().err
     assert peak < 2**20, peak
     assert not out.exists()
     # a config file is held to the same cap
@@ -106,8 +112,8 @@ def test_oversized_n_max_is_refused_before_any_suite(tmp_path, capsys):
         tracemalloc.stop()
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"--n-max {MAX_N + 1} exceeds {MAX_N}" in err
-    assert "instances" not in err  # no suite reported progress
+    assert f"--n-max: expected an integer in [2, {MAX_N}], got '{MAX_N + 1}'" in err
+    assert "violations" not in err  # no suite reported progress
     assert peak < 2**20, peak
     assert not out.exists()
     config = tmp_path / "lemmas.cfg"
@@ -122,7 +128,9 @@ def test_largest_n_passes_the_cap(tmp_path, capsys):
     code = parse_and_dispatch(["triangle", "--n", str(MAX_N), "--p", "2.0",
                                "--out", str(tmp_path / "tri")])
     assert code == EXIT_USAGE
-    assert "density 2.0 outside [0, 1]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--p: expected a density in [0, 1], got '2.0'" in err
+    assert "--n:" not in err
 
 
 _TINY_BUDGET = ["--max-bisections", "1", "--replicates-start", "8", "--replicates-cap", "8"]
@@ -138,19 +146,32 @@ def test_unconverged_solver_exits_3(tmp_path):
 
 # a driver whose threshold solve does not converge exits 3 as pc-solve does
 @pytest.mark.parametrize("argv, code, message", [
-    (["triangle", "--n", "6", "--p", "2"], EXIT_USAGE, "density 2.0 outside [0, 1]"),
-    (["oracle", "--n", "2", "--p", "2"], EXIT_USAGE, "p must lie in [0, 1]"),
-    (["duality", "--n", "6", "--eps", "5", "--pc", "0.2"], EXIT_USAGE, "outside [0, 1]"),
+    (["triangle", "--n", "6", "--p", "2"], EXIT_USAGE,
+     "--p: expected a density in [0, 1], got '2'"),
+    (["oracle", "--n", "2", "--p", "2"], EXIT_USAGE, "--p: expected a density in [0, 1]"),
+    (["duality", "--n", "6", "--eps", "5", "--pc", "0.2"], EXIT_USAGE,
+     f"p_hat = 0.2 and eps = -5.0 put p_hat + eps/n = {0.2 - 5 / 6} outside [0, 1]"),
     (["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1", "--pc", "0.12"], EXIT_USAGE,
-     "above 1"),
-    (["pc-solve", "--n", "6", "--lambda", "-1"], EXIT_USAGE, "lambda must be positive"),
+     "p_hat = 0.12 and eps = 8.0 put p_hat + eps/n = 1.12 outside [0, 1]"),
+    (["pc-solve", "--n", "6", "--lambda", "-1"], EXIT_USAGE,
+     "--lambda: expected a number > 0, got '-1'"),
     (["pc-solve", "--n", "4", "--lambda", "nan", "--replicates-cap", "64"], EXIT_USAGE,
-     "lambda must be positive"),
-    (["pc-solve", "--n", "4", "--tol-p", "nan"], EXIT_USAGE, "tol_p must be positive"),
+     "--lambda: expected a number > 0, got 'nan'"),
+    (["pc-solve", "--n", "4", "--tol-p", "nan"], EXIT_USAGE,
+     "--tol-p: expected a number > 0, got 'nan'"),
+    (["pc-solve", "--n", "0"], EXIT_USAGE, f"--n: expected an integer in [1, {MAX_N}], got '0'"),
+    (["pc-solve", "--n", "6", "--replicates-start", "1"], EXIT_USAGE,
+     "--replicates-start: expected an integer >= 2, got '1'"),
+    (["pc-solve", "--n", "6", "--replicates-start", "8", "--replicates-cap", "4"], EXIT_USAGE,
+     "--replicates-cap must be >= --replicates-start"),
+    (["pc-solve", "--n", "3", "--lambda", "0.1"], EXIT_USAGE,
+     "--lambda 0.1 puts the target lambda 2^(n/3) outside [1, 2^3]"),
+    (["lemma-check", "--seed", "-50"], EXIT_USAGE, "--seed: expected an integer >= 0, got '-50'"),
     (["sweep", "--n", "6", "--eps", "0", *_TINY_BUDGET], EXIT_UNCONVERGED,
      "threshold solver did not converge"),
 ], ids=["triangle", "oracle", "duality", "sprinkle", "pc-solve", "pc-solve-nan-lambda",
-        "pc-solve-nan-tol", "sweep"])
+        "pc-solve-nan-tol", "pc-solve-n0", "pc-solve-start", "pc-solve-cap", "pc-solve-target",
+        "lemma-check-seed", "sweep"])
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code, message):
     out = tmp_path / "out"
     assert parse_and_dispatch(argv + ["--out", str(out)]) == code
@@ -198,16 +219,18 @@ def test_sweep_with_a_tiny_eps_has_an_infinite_below_scale(tmp_path):
 
 
 def test_unexpected_driver_error_exits_4(tmp_path, capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("boom")
+    # a ValueError mid-run is a fault in the program, not a usage error
+    for error in (RuntimeError, ValueError):
+        def broken(*args, error=error, **kwargs):
+            raise error("boom")
 
-    monkeypatch.setattr(cli, "run_sweep", broken)
-    out = tmp_path / "sweep"
-    code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "0", "--pc", "0.2",
-                               "--out", str(out)])
-    assert code == EXIT_INTERNAL
-    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
-    assert not out.exists()
+        monkeypatch.setattr(cli, "run_sweep", broken)
+        out = tmp_path / "sweep"
+        code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "0", "--pc", "0.2",
+                                   "--out", str(out)])
+        assert code == EXIT_INTERNAL
+        assert f"internal error: {error.__name__}: boom" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_writes_triangle_when_asked(tmp_path):
@@ -234,9 +257,18 @@ def test_sweep_writes_triangle_when_asked(tmp_path):
     assert (cfg_tri / "triangle.csv").read_bytes() == (tri / "triangle.csv").read_bytes()
 
 
+_SWITCH_REFUSALS = {
+    "--observables": "unrecognized arguments: --observables",
+    "--triangle": "--triangle: expected true or false, got 'maybe'",
+    "--k1": "unrecognized arguments: --k1",
+    "--config": "unknown config key 'k1'",
+}
+
+
 @pytest.mark.parametrize("flag", [["--observables", "chi"], ["--triangle", "maybe"],
                                   ["--k1", "2"], ["--config", "k1 = 2"]])
 def test_sweep_refuses_unknown_observable_switches(tmp_path, capsys, flag):
+    message = _SWITCH_REFUSALS[flag[0]]
     if flag[0] == "--config":
         config = tmp_path / "run.cfg"
         config.write_text(flag[1] + "\n")
@@ -245,6 +277,7 @@ def test_sweep_refuses_unknown_observable_switches(tmp_path, capsys, flag):
     code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "0", "--pc", "0.2", *flag,
                                "--out", str(out)])
     assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -353,7 +386,8 @@ def test_sweep_refuses_an_empty_grid(tmp_path, capsys):
     code = parse_and_dispatch(["sweep", "--n", "6", "--eps", ",", "--out", str(out)])
     assert code == EXIT_USAGE
     assert not out.exists()
-    assert "epsilon grid is empty" in capsys.readouterr().err
+    assert "--eps: expected a comma-separated epsilon grid of one or more finite numbers, " \
+        "got ','" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,20 +404,28 @@ def test_counts_below_one_are_refused_before_solving(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "solve_pc", no_solve)
     out = tmp_path / "none"
     assert parse_and_dispatch(argv + ["--out", str(out)]) == EXIT_USAGE
-    assert "must be >= 1" in capsys.readouterr().err
+    count = argv[-2]  # the count option is the last one given
+    assert f"{count}: expected an integer >= 1, got '{argv[-1]}'" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sprinkle", "--n", "12", "--eps", "-0.3", "--seeds", "1"], "eps must be positive"),
-    (["sprinkle", "--n", "12", "--eps", "0", "--seeds", "1"], "eps must be positive"),
-    (["duality", "--n", "12", "--eps", "-0.3"], "eps must be positive"),
-    (["sprinkle", "--n", "12", "--eps", "nan", "--seeds", "1"], "eps must be positive"),
-    (["duality", "--n", "12", "--eps", "nan"], "eps must be positive"),
-    (["sprinkle", "--n", "12", "--alpha", "2", "--seeds", "1"], "alpha must lie in (0, 1)"),
-    (["sprinkle", "--n", "12", "--alpha", "0", "--seeds", "1"], "alpha must lie in (0, 1)"),
+    (["sprinkle", "--n", "12", "--eps", "-0.3", "--seeds", "1"], "--eps: expected a number > 0"),
+    (["sprinkle", "--n", "12", "--eps", "0", "--seeds", "1"], "--eps: expected a number > 0"),
+    (["duality", "--n", "12", "--eps", "-0.3"], "--eps: expected a number > 0"),
+    (["sprinkle", "--n", "12", "--eps", "nan", "--seeds", "1"], "--eps: expected a number > 0"),
+    (["duality", "--n", "12", "--eps", "nan"], "--eps: expected a number > 0"),
+    (["sprinkle", "--n", "12", "--alpha", "2", "--seeds", "1"],
+     "--alpha: expected a number in (0, 1)"),
+    (["sprinkle", "--n", "12", "--alpha", "0", "--seeds", "1"],
+     "--alpha: expected a number in (0, 1)"),
+    (["sprinkle", "--n", "10", "--eps", "50"], "--eps 50.0 lies outside [-10, 10]"),
+    (["triangle", "--n", "8", "--eps", "100"], "--eps 100.0 lies outside [-8, 8]"),
+    (["sweep", "--n", "8", "--eps", "0.1,nan"], "--eps: expected a comma-separated epsilon grid"),
+    (["sweep", "--n", "8", "--eps", "inf"], "--eps: expected a comma-separated epsilon grid"),
 ], ids=["sprinkle-eps", "sprinkle-eps0", "duality-eps", "sprinkle-eps-nan", "duality-eps-nan",
-        "sprinkle-alpha", "sprinkle-alpha0"])
+        "sprinkle-alpha", "sprinkle-alpha0", "sprinkle-eps-above-n", "triangle-eps-above-n",
+        "sweep-grid-nan", "sweep-grid-inf"])
 def test_eps_and_alpha_are_refused_before_solving(tmp_path, capsys, monkeypatch, argv, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a threshold for a run that is refused")
@@ -400,12 +442,12 @@ class _Solved(Exception):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--eps=nan"], "eps must be finite"),
-    (["--eps=inf"], "eps must be finite"),
-    (["--eps=-inf"], "eps must be finite"),
-    (["--p=nan"], "--p nan is not finite"),
-    (["--p=inf"], "--p inf is not finite"),
-    (["--p=-inf"], "--p -inf is not finite"),
+    (["--eps=nan"], "--eps: expected a finite number, got 'nan'"),
+    (["--eps=inf"], "--eps: expected a finite number, got 'inf'"),
+    (["--eps=-inf"], "--eps: expected a finite number, got '-inf'"),
+    (["--p=nan"], "--p: expected a density in [0, 1], got 'nan'"),
+    (["--p=inf"], "--p: expected a density in [0, 1], got 'inf'"),
+    (["--p=-inf"], "--p: expected a density in [0, 1], got '-inf'"),
 ], ids=["eps-nan", "eps-inf", "eps-neg-inf", "p-nan", "p-inf", "p-neg-inf"])
 def test_triangle_refuses_a_non_finite_density_before_solving(tmp_path, capsys, monkeypatch,
                                                                argv, message):
@@ -460,11 +502,11 @@ def test_lemma_check_small(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--n-max", "0"], "--n-max must be >= 2, got 0"),
-    (["--n-max", "1"], "--n-max must be >= 2, got 1"),
-    (["--harper-instances", "0"], "--harper-instances must be >= 1, got 0"),
-    (["--overlap-instances", "0"], "--overlap-instances must be >= 1, got 0"),
-    (["--paths-instances", "-1"], "--paths-instances must be >= 1, got -1"),
+    (["--n-max", "0"], f"--n-max: expected an integer in [2, {MAX_N}], got '0'"),
+    (["--n-max", "1"], f"--n-max: expected an integer in [2, {MAX_N}], got '1'"),
+    (["--harper-instances", "0"], "--harper-instances: expected an integer >= 1, got '0'"),
+    (["--overlap-instances", "0"], "--overlap-instances: expected an integer >= 1, got '0'"),
+    (["--paths-instances", "-1"], "--paths-instances: expected an integer >= 1, got '-1'"),
 ], ids=["n-max-0", "n-max-1", "harper-0", "overlap-0", "paths-neg"])
 def test_lemma_check_refuses_an_empty_suite_before_any_suite(tmp_path, capsys, argv, message):
     # a suite with no instances would report "ok" having checked nothing
@@ -474,6 +516,94 @@ def test_lemma_check_refuses_an_empty_suite_before_any_suite(tmp_path, capsys, a
     assert message in err
     assert "violations" not in err  # no suite reported progress
     assert not out.exists()
+
+
+class _Reached(BaseException):
+    """Raised by a patched solver or driver: the run got past every input check."""
+
+
+_DRAWN_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", str(MAX_N),
+                     str(MAX_N + 1), "x", "", ",", "1,nan", "-0.3,0,0.3", "true", "false"]),
+    st.integers(-3, MAX_N + 2).map(str),
+    st.floats(-2.0, 2.0).map(repr),
+)
+def _suite_input(n_max, count, seed):
+    return 2 <= n_max <= MAX_N and count >= 1 and seed >= 0
+
+
+# what each driver must be handed once the CLI has checked its input
+_DRIVER_INPUTS = {
+    "run_sweep": lambda cfg, p_hat: 0.0 <= p_hat <= 1.0 and cfg.master_seed >= 0,
+    "sprinkling_experiment": lambda n, eps, alpha, seed, p_hat: 0.0 <= p_hat + eps / n <= 1.0,
+    "duality_experiment": lambda n, eps, replicates, seed, p_hat:
+        0.0 <= p_hat - eps / n and p_hat + eps / n <= 1.0,
+    "replicate_stats": lambda dim, ps, seed, replicates, census=False:
+        all(0.0 <= p <= 1.0 for p in ps) and replicates.stop > replicates.start and seed >= 0,
+    "exact_enumerate": lambda n, p: n in (1, 2, 3) and 0.0 <= p <= 1.0,
+    "run_harper_suite": _suite_input,
+    "run_overlap_suite": _suite_input,
+    "run_paths_suite": _suite_input,
+}
+
+
+def _reached(check):
+    def driver(*args, **kwargs):
+        assert check(*args, **kwargs), (args, kwargs)
+        raise _Reached
+    return driver
+
+
+@st.composite
+def _drawn_options(draw):
+    subcommand = draw(st.sampled_from(sorted(OPTIONS)))
+    names = [opt.name for opt in OPTIONS[subcommand] if opt.name not in ("out", "config")]
+    # every required option and a few others, so that most draws get past argparse
+    chosen = {opt.name for opt in OPTIONS[subcommand] if opt.required}
+    chosen.update(draw(st.lists(st.sampled_from(names), max_size=3)))
+    return subcommand, [(name, draw(_DRAWN_VALUES)) for name in sorted(chosen)]
+
+
+@settings(deadline=None, max_examples=500)
+@given(drawn=_drawn_options(), via_config=st.booleans(), p_hat=st.floats(0.0, 1.0),
+       converged=st.booleans())
+def test_every_drawn_input_is_refused_before_solving_or_runs(tmp_path_factory, drawn,
+                                                             via_config, p_hat, converged):
+    subcommand, options = drawn
+    solved = []
+
+    def solve(dim, lam, tol_p, schedule, master_seed):
+        assert 1.0 <= lam * 2.0 ** (dim.n / 3.0) <= dim.volume and master_seed >= 0
+        assert dim.n <= MAX_N and (tol_p is None or tol_p > 0.0)
+        solved.append(dim.n)
+        if subcommand == "pc-solve":
+            raise _Reached
+        return PcResult(dim.n, lam, p_hat, 0.0, 0, Estimate(1.0, 0.0, 1), converged)
+
+    base = tmp_path_factory.getbasetemp()
+    argv = [subcommand, "--out", str(base / "drawn")]
+    if via_config:  # a config file holds every option to the same rules
+        config = base / "drawn.cfg"
+        config.write_text("".join(f"{name} = {value}\n" for name, value in options))
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{name}={value}" for name, value in options]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(cli, "solve_pc", solve)
+        for name, check in _DRIVER_INPUTS.items():
+            mp.setattr(cli, name, _reached(check))
+        try:
+            code = parse_and_dispatch(argv)
+        except _Reached:
+            return
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNCONVERGED), err.getvalue()
+    if code == EXIT_USAGE and solved:  # only a refusal that depends on p_hat waits
+        assert subcommand in ("sprinkle", "duality", "triangle")
+        assert re.search(r"error: p_hat = \S+ and eps = \S+ put p_hat \+ eps/n = \S+ "
+                         r"outside \[0, 1\]\n$",
+                         err.getvalue()), err.getvalue()
+    assert not (base / "drawn").exists()
 
 
 def test_lemma_check_violation_exits_4_and_keeps_its_row(tmp_path, capsys, monkeypatch):

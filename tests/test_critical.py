@@ -41,6 +41,8 @@ def test_target_out_of_range_rejected():
         solve_pc(CubeDim(6), 100.0)  # target above 2^n
     with pytest.raises(ValueError):
         solve_pc(CubeDim(6), -1.0)
+    with pytest.raises(ValueError, match="tol_p"):
+        solve_pc(CubeDim(6), 1.0, float("nan"))
 
 
 def test_n2_recovers_hand_inverted_threshold():

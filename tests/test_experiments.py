@@ -47,6 +47,8 @@ def test_exact_enumerate_small_cases():
     assert full.chi_exact == 8.0 and full.e_cmax_exact == 8.0
     with pytest.raises(ValueError):
         exact_enumerate(4, 0.5)
+    with pytest.raises(ValueError, match="p must lie"):
+        exact_enumerate(2, 2.0)
 
 
 def test_sweep_row_count_and_skips():
