@@ -9,8 +9,9 @@ command line > config file > defaults; the config file is flat
 rejected.
 
 Every input is checked before any threshold is solved: an option's type
-holds its own rule, `_merge_config` the rules that span options.  Only three
-refusals wait for the solved threshold p_hat (`_density`):
+holds its own rule, `_merge_config` the rules that span options.  Only four
+refusals wait for the solved threshold p_hat (`_density` and `_cmd_sweep`):
+- sweep: p_hat + eps/n in [0, 1] for at least one eps of the grid;
 - sprinkle: p_hat + eps/n <= 1;
 - duality: p_hat - eps/n and p_hat + eps/n in [0, 1];
 - triangle without --p: p_hat + eps/n in [0, 1].
@@ -323,7 +324,11 @@ def _cmd_sweep(cfg: dict[str, Any]) -> Run:
     sweep_cfg = SweepConfig(n=cfg["n"], alpha=cfg["alpha"], epsilon_grid=cfg["eps"],
                             replicates=cfg["replicates"], master_seed=cfg["seed"],
                             observables=ObservableFlags(triangle=cfg["triangle"]))
-    records = run_sweep(sweep_cfg, _p_hat(cfg))
+    p_hat = _p_hat(cfg)
+    # run_sweep's own test of each grid point; a grid of skipped rows measured nothing
+    if not any(0.0 <= p_hat + eps / cfg["n"] <= 1.0 for eps in cfg["eps"]):
+        raise UsageError(f"p_hat = {p_hat} puts p_hat + eps/n outside [0, 1] for every eps")
+    records = run_sweep(sweep_cfg, p_hat)
     summary = regime_summary(records)
     tables = {"sweep.csv": (reports.SWEEP_HEADER, reports.sweep_rows(records)),
               "regime_summary.csv": (reports.SUMMARY_HEADER, reports.summary_rows(summary))}

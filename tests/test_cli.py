@@ -390,6 +390,22 @@ def test_sweep_refuses_an_empty_grid(tmp_path, capsys):
         "got ','" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_grid_with_no_density_in_range(tmp_path, capsys):
+    # every row would be skipped, so the run would measure nothing
+    out = tmp_path / "outside"
+    code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "100,200", "--pc", "0.2",
+                               "--replicates", "2", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert "p_hat = 0.2 puts p_hat + eps/n outside [0, 1] for every eps" in capsys.readouterr().err
+    # one point in range is enough, and the others are written skipped
+    code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "100,0", "--pc", "0.2",
+                               "--replicates", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = _read_csv(out / "sweep.csv")
+    assert [row[rows[0].index("skipped")] for row in rows[1:]] == ["true", "false"]
+
+
 @pytest.mark.parametrize("argv", [
     ["duality", "--n", "12", "--replicates", "0"],
     ["triangle", "--n", "12", "--replicates", "0"],
@@ -534,7 +550,8 @@ def _suite_input(n_max, count, seed):
 
 # what each driver must be handed once the CLI has checked its input
 _DRIVER_INPUTS = {
-    "run_sweep": lambda cfg, p_hat: 0.0 <= p_hat <= 1.0 and cfg.master_seed >= 0,
+    "run_sweep": lambda cfg, p_hat: 0.0 <= p_hat <= 1.0 and cfg.master_seed >= 0
+        and any(0.0 <= p_hat + eps / cfg.n <= 1.0 for eps in cfg.epsilon_grid),
     "sprinkling_experiment": lambda n, eps, alpha, seed, p_hat: 0.0 <= p_hat + eps / n <= 1.0,
     "duality_experiment": lambda n, eps, replicates, seed, p_hat:
         0.0 <= p_hat - eps / n and p_hat + eps / n <= 1.0,
@@ -599,10 +616,10 @@ def test_every_drawn_input_is_refused_before_solving_or_runs(tmp_path_factory, d
             return
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNCONVERGED), err.getvalue()
     if code == EXIT_USAGE and solved:  # only a refusal that depends on p_hat waits
-        assert subcommand in ("sprinkle", "duality", "triangle")
-        assert re.search(r"error: p_hat = \S+ and eps = \S+ put p_hat \+ eps/n = \S+ "
-                         r"outside \[0, 1\]\n$",
-                         err.getvalue()), err.getvalue()
+        assert subcommand in ("sweep", "sprinkle", "duality", "triangle")
+        refusal = (r"puts p_hat \+ eps/n outside \[0, 1\] for every eps" if subcommand == "sweep"
+                   else r"and eps = \S+ put p_hat \+ eps/n = \S+ outside \[0, 1\]")
+        assert re.search(rf"error: p_hat = \S+ {refusal}\n$", err.getvalue()), err.getvalue()
     assert not (base / "drawn").exists()
 
 

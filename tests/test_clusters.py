@@ -232,33 +232,36 @@ def test_hamiltonian_path_is_one_component(n, mirrored):
     assert int(lab.size_by_root[0]) == 1 << n
 
 
-@pytest.mark.parametrize("size", [(1 << 16) - 8, (1 << 16) - 1, 1 << 16, (1 << 16) + 5, 3 << 17])
+@pytest.mark.parametrize("size", [(1 << 13) - 8, 1 << 13, (1 << 16) - 8, (1 << 16) - 1, 1 << 16,
+                                  (1 << 16) + 5, 3 << 17])
 @pytest.mark.parametrize("density", ["none", "one", "under_tenth", "over_tenth", "all"])
-def test_edge_ids_match_flatnonzero(monkeypatch, size, density):
+def test_edge_ids_match_flatnonzero(size, density):
     count = {"none": 0, "one": 1, "under_tenth": size // 10, "over_tenth": size // 10 + 1,
              "all": size}[density]
-    flat = np.zeros(size, dtype=bool)
-    flat[np.random.default_rng(size + count).choice(size, count, replace=False)] = True
-    real_packbits = np.packbits
-    packs = []
+    unaligned = np.zeros(size + 1, dtype=bool)[1:]
+    unaligned[np.random.default_rng(size + count).choice(size, count, replace=False)] = True
+    views = []
 
-    def packbits(*args, **kwargs):
-        packs.append(args)
-        return real_packbits(*args, **kwargs)
+    class ViewSpy(np.ndarray):
+        # records the dtypes the array is viewed as; only the word path views it
+        def view(self, *args, **kwargs):
+            views.append(args[0])
+            return super().view(*args, **kwargs)
 
-    monkeypatch.setattr(np, "packbits", packbits)
-    ids = _edge_ids(flat)
-    assert ids.dtype == np.intp
-    assert np.array_equal(ids, np.flatnonzero(flat))
-    # the packed path is taken exactly on large inputs at or below 10% density
-    assert len(packs) == (size >= 1 << 16 and 10 * count <= size)
+    for flat in (unaligned.copy(), unaligned):
+        views.clear()
+        ids = _edge_ids(flat.view(ViewSpy))
+        assert ids.dtype == np.intp
+        assert np.array_equal(ids, np.flatnonzero(flat))
+        # the word path is taken exactly on large whole-word inputs at or below 10% density
+        assert (np.uint64 in views) == (size >= 1 << 13 and size % 8 == 0 and 10 * count <= size)
 
 
+@pytest.mark.parametrize("n", [12, 13, 14])
 @pytest.mark.parametrize("eps", [-0.45, 0.0])
-def test_sparse_planes_at_n14_agree_with_the_reference_labelers(eps):
-    # n = 14 has 114,688 edge slots, so below 10% density both the cold
-    # labeling and the join read their edge ids through the packed bytes
-    n = 14
+def test_sparse_planes_agree_with_the_reference_labelers(n, eps):
+    # n = 12 has 24,576 edge slots, so below 10% density both the cold
+    # labeling and the join read their edge ids through the uint64 words
     dim = CubeDim(n)
     g = sample_subgraph(dim, pc_expansion_reference(n) + eps / n, SeedSpec(2026, 1))
     assert 10 * np.count_nonzero(g.planes) <= g.planes.size
