@@ -16,10 +16,10 @@ refusals wait for the solved threshold p_hat (`_density` and `_cmd_sweep`):
 - duality: p_hat - eps/n and p_hat + eps/n in [0, 1];
 - triangle without --p: p_hat + eps/n in [0, 1].
 The exit code follows the exception type: 0 success, 2 `UsageError` or a
-value argparse refuses, 3 `Unconverged` (a threshold solve in any
-subcommand), 4 a lemma-suite violation or any other exception.  A subcommand
-returns its tables and the dispatcher writes them with the manifest, so a run
-that fails before returning writes nothing.
+value argparse refuses, 4 a lemma-suite violation or any other exception.  A
+threshold solve always converges, since `--tol-p` is at least 2^-52.  A
+subcommand returns its tables and the dispatcher writes them with the
+manifest, so a run that fails before returning writes nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__, reports
-from .critical import DEFAULT_LAMBDA, PcResult, ReplicateSchedule, pc_expansion_reference, solve_pc
+from .critical import (DEFAULT_LAMBDA, MIN_TOL_P, PcResult, ReplicateSchedule,
+                       pc_expansion_reference, solve_pc)
 from .cube import CubeDim
 from .experiments import (
     DEFAULT_ALPHA,
@@ -60,7 +61,6 @@ __all__ = ["main", "parse_and_dispatch"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_UNCONVERGED = 3
 EXIT_INTERNAL = 4
 
 # Largest --n the CLI accepts.  At n = 22 one replicate peaks at 277 MB RSS
@@ -98,6 +98,7 @@ def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
 
 _COUNT = _int_in(1)
 _POSITIVE = _checked(float, "a number > 0", lambda v: v > 0.0)  # NaN fails
+_TOL_P = _checked(float, "a number >= 2^-52", lambda v: v >= MIN_TOL_P)
 _DENSITY = _checked(float, "a density in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _UNIT = _checked(float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0)
 _FINITE = _checked(float, "a finite number", math.isfinite)
@@ -114,10 +115,10 @@ _COMMON = [
 
 _SOLVER = [
     Option("lambda", _POSITIVE, DEFAULT_LAMBDA, "susceptibility target multiplier"),
-    Option("tol-p", _POSITIVE, None, "bisection tolerance in p (default window/4)"),
+    Option("tol-p", _TOL_P, None, "bisection tolerance in p (default window/4); at least "
+           "2^-52, as a double halves [0, 1] no finer"),
     Option("replicates-start", _int_in(2), 64, "replicates at the first schedule level"),
     Option("replicates-cap", int, 8192, "replicate cap per midpoint"),
-    Option("max-bisections", int, 80, "bisection iteration budget"),
 ]
 _PC = [Option("pc", _DENSITY, None, "threshold override; skips solving")]
 _N = Option("n", _int_in(1, MAX_N), None, "cube dimension", required=True)
@@ -162,12 +163,7 @@ OPTIONS: dict[str, list[Option]] = {
 }
 
 class UsageError(Exception):
-    code = EXIT_USAGE
-
-
-class Unconverged(Exception):
-    """The threshold solve spent its budget before it converged."""
-    code = EXIT_UNCONVERGED
+    """Input the CLI refuses; exits 2."""
 
 
 Table = tuple[Sequence[str], Iterable[Sequence[Any]]]
@@ -286,8 +282,7 @@ def _manifest(cfg: dict[str, Any], started: float, outputs: list[str]) -> dict[s
 
 
 def _solve(cfg: dict[str, Any]) -> PcResult:
-    schedule = ReplicateSchedule(initial=cfg["replicates_start"], cap=cfg["replicates_cap"],
-                                 max_bisections=cfg["max_bisections"])
+    schedule = ReplicateSchedule(initial=cfg["replicates_start"], cap=cfg["replicates_cap"])
     return solve_pc(CubeDim(cfg["n"]), cfg["lambda"], cfg["tol_p"], schedule,
                     master_seed=cfg["seed"])
 
@@ -303,10 +298,7 @@ def _p_hat(cfg: dict[str, Any]) -> float:
     if cfg.get("pc") is not None:
         return float(cfg["pc"])
     print(f"solving threshold for n={cfg['n']} lambda={cfg['lambda']} ...", file=sys.stderr)
-    result = _solve(cfg)
-    if not result.converged:
-        raise Unconverged("threshold solver did not converge; rerun with a larger budget")
-    return result.p_hat
+    return _solve(cfg).p_hat
 
 
 def _cmd_pc_solve(cfg: dict[str, Any]) -> Run:
@@ -317,7 +309,7 @@ def _cmd_pc_solve(cfg: dict[str, Any]) -> Run:
             f"expansion={pc_expansion_reference(result.n):.6f}")
     return Run({"pc_result.csv": (reports.PC_RESULT_HEADER, reports.pc_result_rows(result)),
                 "pc_trace.csv": (reports.PC_TRACE_HEADER, reports.pc_trace_rows(result))},
-               [line], EXIT_OK if result.converged else EXIT_UNCONVERGED)
+               [line])
 
 
 def _cmd_sweep(cfg: dict[str, Any]) -> Run:
@@ -433,9 +425,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
         for name, (header, rows) in run.tables.items():
             reports.write_csv(out / name, header, rows)
         reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, list(run.tables)))
-    except (UsageError, Unconverged) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -17,6 +17,7 @@ from .cube import CubeDim
 from .stats import Estimate, replicate_stats
 
 __all__ = [
+    "MIN_TOL_P",
     "ReplicateSchedule",
     "TracePoint",
     "PcResult",
@@ -31,15 +32,18 @@ DEFAULT_LAMBDA = 1.0
 DEFAULT_WINDOW_LAMBDA0 = 10.0
 # a midpoint is resolved once its 95% normal interval excludes the target
 CONFIDENCE_Z = 1.96
+# After k <= 52 halvings of [0, 1] the bracket ends are exact multiples of
+# 2^-k, so any tol_p >= 2^-52 is met after ceil(log2(1/tol_p)) bisections;
+# a finer tolerance is one a double cannot halve to.
+MIN_TOL_P = 2.0 ** -52
 
 
 @dataclass(frozen=True)
 class ReplicateSchedule:
-    """Doubling replicate schedule for one midpoint evaluation."""
+    """Doubling replicate schedule for one midpoint: `initial` replicates, doubled up to `cap`."""
 
     initial: int = 64
     cap: int = 8192
-    max_bisections: int = 80
 
     def __post_init__(self) -> None:
         if self.initial < 2 or self.cap < self.initial:
@@ -60,7 +64,7 @@ class TracePoint:
 
 @dataclass(frozen=True)
 class PcResult:
-    """Solved threshold with its bisection trace."""
+    """Solved threshold with its bisection trace; `converged` is always true."""
 
     n: int
     lam: float
@@ -110,15 +114,18 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
     schedule until the Gaussian confidence interval for the susceptibility
     estimate excludes the target, or the cap is reached and the sign of the
     estimate decides.  Susceptibility is heavy-tailed near the threshold, so
-    the interval test is approximate; the cap keeps termination guaranteed.
+    the interval test is approximate; the cap bounds each midpoint's cost.
+    The bracket halves until it is at most tol_p wide, which takes
+    ceil(log2(1/tol_p)) <= 52 bisections; a tol_p below MIN_TOL_P (or NaN)
+    raises ValueError.
     """
     if not lam > 0.0:
         raise ValueError("lambda must be positive")
     schedule = schedule or ReplicateSchedule()
     if tol_p is None:
         tol_p = default_tol_p(dim.n)
-    if not tol_p > 0.0:
-        raise ValueError("tol_p must be positive")
+    if not tol_p >= MIN_TOL_P:
+        raise ValueError(f"tol_p must be at least 2^-52 = {MIN_TOL_P!r}, got {tol_p!r}")
     target = lam * 2.0 ** (dim.n / 3.0)
     if target < 1.0 or target > dim.volume:
         raise ValueError(f"target susceptibility {target} outside [1, {dim.volume}]")
@@ -131,20 +138,17 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
     lo, hi = 0.0, 1.0
     trace: list[TracePoint] = []
     total = 0
-    iteration = 0
-    while hi - lo > tol_p and iteration < schedule.max_bisections:
-        iteration += 1
+    while hi - lo > tol_p:
         mid = 0.5 * (lo + hi)
         est, resolved = _evaluate_midpoint(dim, mid, target, schedule, master_seed)
         total += est.replicates
-        trace.append(TracePoint(iteration, lo, hi, mid, est.mean, est.std_error,
+        trace.append(TracePoint(len(trace) + 1, lo, hi, mid, est.mean, est.std_error,
                                 est.replicates, resolved))
         if est.mean > target:
             hi = mid
         else:
             lo = mid
 
-    converged = hi - lo <= tol_p
     p_hat = 0.5 * (lo + hi)
     # The final check runs at the base schedule level so its confidence
     # interval stays commensurate with the susceptibility variation across
@@ -153,8 +157,7 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
     (final,) = replicate_stats(dim, (p_hat,), master_seed, range(schedule.initial))
     chi_final = Estimate.from_samples(final.chi)
     total += chi_final.replicates
-    return PcResult(dim.n, lam, p_hat, 0.5 * (hi - lo), total, chi_final, converged,
-                    tuple(trace))
+    return PcResult(dim.n, lam, p_hat, 0.5 * (hi - lo), total, chi_final, True, tuple(trace))
 
 
 def window_coord(p: float, n: int, p_hat: float) -> WindowCoord:

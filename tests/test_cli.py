@@ -19,14 +19,13 @@ from cubeperc import cli, lemmas
 from cubeperc.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
-    EXIT_UNCONVERGED,
     EXIT_USAGE,
     MAX_N,
     OPTIONS,
     _parse_config_file,
     parse_and_dispatch,
 )
-from cubeperc.critical import PcResult, pc_expansion_reference, solve_pc
+from cubeperc.critical import MIN_TOL_P, PcResult, pc_expansion_reference, solve_pc
 from cubeperc.cube import CubeDim, PathList
 from cubeperc.stats import Estimate
 
@@ -133,18 +132,6 @@ def test_largest_n_passes_the_cap(tmp_path, capsys):
     assert "--n:" not in err
 
 
-_TINY_BUDGET = ["--max-bisections", "1", "--replicates-start", "8", "--replicates-cap", "8"]
-
-
-def test_unconverged_solver_exits_3(tmp_path):
-    out = tmp_path / "pc"
-    code = parse_and_dispatch(["pc-solve", "--n", "6", *_TINY_BUDGET, "--out", str(out)])
-    assert code == EXIT_UNCONVERGED
-    # partial trace still emitted
-    assert len(_read_csv(out / "pc_trace.csv")) == 2
-
-
-# a driver whose threshold solve does not converge exits 3 as pc-solve does
 @pytest.mark.parametrize("argv, code, message", [
     (["triangle", "--n", "6", "--p", "2"], EXIT_USAGE,
      "--p: expected a density in [0, 1], got '2'"),
@@ -158,7 +145,7 @@ def test_unconverged_solver_exits_3(tmp_path):
     (["pc-solve", "--n", "4", "--lambda", "nan", "--replicates-cap", "64"], EXIT_USAGE,
      "--lambda: expected a number > 0, got 'nan'"),
     (["pc-solve", "--n", "4", "--tol-p", "nan"], EXIT_USAGE,
-     "--tol-p: expected a number > 0, got 'nan'"),
+     "--tol-p: expected a number >= 2^-52, got 'nan'"),
     (["pc-solve", "--n", "0"], EXIT_USAGE, f"--n: expected an integer in [1, {MAX_N}], got '0'"),
     (["pc-solve", "--n", "6", "--replicates-start", "1"], EXIT_USAGE,
      "--replicates-start: expected an integer >= 2, got '1'"),
@@ -167,11 +154,9 @@ def test_unconverged_solver_exits_3(tmp_path):
     (["pc-solve", "--n", "3", "--lambda", "0.1"], EXIT_USAGE,
      "--lambda 0.1 puts the target lambda 2^(n/3) outside [1, 2^3]"),
     (["lemma-check", "--seed", "-50"], EXIT_USAGE, "--seed: expected an integer >= 0, got '-50'"),
-    (["sweep", "--n", "6", "--eps", "0", *_TINY_BUDGET], EXIT_UNCONVERGED,
-     "threshold solver did not converge"),
 ], ids=["triangle", "oracle", "duality", "sprinkle", "pc-solve", "pc-solve-nan-lambda",
         "pc-solve-nan-tol", "pc-solve-n0", "pc-solve-start", "pc-solve-cap", "pc-solve-target",
-        "lemma-check-seed", "sweep"])
+        "lemma-check-seed"])
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code, message):
     out = tmp_path / "out"
     assert parse_and_dispatch(argv + ["--out", str(out)]) == code
@@ -479,6 +464,28 @@ def test_triangle_refuses_a_non_finite_density_before_solving(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--max-bisections", "1"], None, "unrecognized arguments: --max-bisections 1"),
+    ([], "max-bisections = 1", "unknown config key 'max-bisections'"),
+    (["--tol-p", "1e-17"], None, "--tol-p: expected a number >= 2^-52, got '1e-17'"),
+], ids=["max-bisections", "max-bisections-config", "tol-p-below-2^-52"])
+def test_bisection_budget_and_too_fine_tolerance_are_refused_before_solving(
+        tmp_path, capsys, monkeypatch, argv, config, message):
+    # every tol_p >= 2^-52 is met within 52 bisections, so no budget is needed
+    def solve(*args, **kwargs):
+        raise _Solved
+
+    monkeypatch.setattr(cli, "solve_pc", solve)
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config + "\n")
+        argv = ["--config", str(path)]
+    out = tmp_path / "pc"
+    assert parse_and_dispatch(["pc-solve", "--n", "6", *argv, "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_triangle_command(tmp_path):
     out = tmp_path / "tri"
     code = parse_and_dispatch(["triangle", "--n", "6", "--p", "0.15",
@@ -582,20 +589,19 @@ def _drawn_options(draw):
 
 
 @settings(deadline=None, max_examples=500)
-@given(drawn=_drawn_options(), via_config=st.booleans(), p_hat=st.floats(0.0, 1.0),
-       converged=st.booleans())
+@given(drawn=_drawn_options(), via_config=st.booleans(), p_hat=st.floats(0.0, 1.0))
 def test_every_drawn_input_is_refused_before_solving_or_runs(tmp_path_factory, drawn,
-                                                             via_config, p_hat, converged):
+                                                             via_config, p_hat):
     subcommand, options = drawn
     solved = []
 
     def solve(dim, lam, tol_p, schedule, master_seed):
         assert 1.0 <= lam * 2.0 ** (dim.n / 3.0) <= dim.volume and master_seed >= 0
-        assert dim.n <= MAX_N and (tol_p is None or tol_p > 0.0)
+        assert dim.n <= MAX_N and (tol_p is None or tol_p >= MIN_TOL_P)
         solved.append(dim.n)
         if subcommand == "pc-solve":
             raise _Reached
-        return PcResult(dim.n, lam, p_hat, 0.0, 0, Estimate(1.0, 0.0, 1), converged)
+        return PcResult(dim.n, lam, p_hat, 0.0, 0, Estimate(1.0, 0.0, 1), True)
 
     base = tmp_path_factory.getbasetemp()
     argv = [subcommand, "--out", str(base / "drawn")]
@@ -614,8 +620,8 @@ def test_every_drawn_input_is_refused_before_solving_or_runs(tmp_path_factory, d
             code = parse_and_dispatch(argv)
         except _Reached:
             return
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNCONVERGED), err.getvalue()
-    if code == EXIT_USAGE and solved:  # only a refusal that depends on p_hat waits
+    assert code == EXIT_USAGE, err.getvalue()
+    if solved:  # only a refusal that depends on p_hat waits
         assert subcommand in ("sweep", "sprinkle", "duality", "triangle")
         refusal = (r"puts p_hat \+ eps/n outside \[0, 1\] for every eps" if subcommand == "sweep"
                    else r"and eps = \S+ put p_hat \+ eps/n = \S+ outside \[0, 1\]")

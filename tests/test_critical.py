@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from cubeperc.critical import (
+    MIN_TOL_P,
     ReplicateSchedule,
     default_tol_p,
     pc_expansion_reference,
     solve_pc,
     window_coord,
 )
-from cubeperc.cube import CubeDim
+from cubeperc.cube import MAX_DIMENSION, CubeDim
 
 
 def test_expansion_reference_values():
@@ -88,12 +89,23 @@ def test_trace_and_bracket():
         assert mean > target
 
 
-def test_budget_exhaustion_flags_unconverged():
-    schedule = ReplicateSchedule(initial=8, cap=16, max_bisections=2)
-    res = solve_pc(CubeDim(6), 1.0, schedule=schedule, master_seed=1)
-    assert not res.converged
-    assert res.ci_half_width > 0
-    assert len(res.trace) == 2
+@pytest.mark.parametrize("tol_p", [0.0, float("nan"), 2.0 ** -53], ids=["zero", "nan", "2^-53"])
+def test_tolerance_below_two_to_minus_52_is_refused(tol_p):
+    with pytest.raises(ValueError, match=r"tol_p must be at least 2\^-52"):
+        solve_pc(CubeDim(2), 1.0, tol_p)
+
+
+def test_finest_tolerance_takes_52_bisections():
+    # after k halvings the bracket ends are exact multiples of 2^-k, so the
+    # finest allowed tolerance is met after exactly 52
+    res = solve_pc(CubeDim(2), 1.0, MIN_TOL_P, ReplicateSchedule(initial=2, cap=2))
+    assert res.converged
+    assert [point.iteration for point in res.trace] == list(range(1, 53))
+    assert res.ci_half_width == 2.0 ** -53
+
+
+def test_every_default_tolerance_is_allowed():
+    assert all(default_tol_p(n) >= MIN_TOL_P for n in range(1, MAX_DIMENSION + 1))
 
 
 def test_chi_monotone_along_trace_midpoints():
