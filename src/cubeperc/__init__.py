@@ -45,13 +45,11 @@ from .critical import (  # noqa: F401
     window_coord,
 )
 from .experiments import (  # noqa: F401
-    DualityReport,
     ExactOracle,
     ObservableFlags,
     SprinkleReport,
     SweepConfig,
     SweepRecord,
-    duality_experiment,
     exact_enumerate,
     regime_summary,
     run_sweep,

@@ -1,19 +1,18 @@
 """Command-line front end.
 
-Subcommands: pc-solve, sweep, sprinkle, duality, triangle, oracle,
-lemma-check.  Each writes fixed-schema CSV files plus a manifest that
-records the full effective configuration, seed, code version, wall clock
-and the process's minor page faults and peak RSS.  Option precedence is
+Subcommands: pc-solve, sweep, sprinkle, triangle, oracle, lemma-check.
+Each writes fixed-schema CSV files plus a manifest that records the full
+effective configuration, seed, code version, wall clock and the process's
+minor page faults and peak RSS.  Option precedence is
 command line > config file > defaults; the config file is flat
 `key = value` text using the long option names, and unknown keys are
 rejected.
 
 Every input is checked before any threshold is solved: an option's type
-holds its own rule, `_merge_config` the rules that span options.  Only four
+holds its own rule, `_merge_config` the rules that span options.  Only three
 refusals wait for the solved threshold p_hat (`_density` and `_cmd_sweep`):
 - sweep: p_hat + eps/n in [0, 1] for at least one eps of the grid;
 - sprinkle: p_hat + eps/n <= 1;
-- duality: p_hat - eps/n and p_hat + eps/n in [0, 1];
 - triangle without --p: p_hat + eps/n in [0, 1].
 The exit code follows the exception type: 0 success, 2 `UsageError` or a
 value argparse refuses, 4 a lemma-suite violation or any other exception.  A
@@ -47,7 +46,6 @@ from .experiments import (
     DEFAULT_ALPHA,
     ObservableFlags,
     SweepConfig,
-    duality_experiment,
     exact_enumerate,
     regime_summary,
     run_sweep,
@@ -64,8 +62,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 4
 
 # Largest --n the CLI accepts.  At n = 22 one replicate peaks at 277 MB RSS
-# for sprinkle, 220 MB for triangle, 245 MB for a 4-density sweep and 242 MB
-# for duality, 2.5-2.9x their n = 20 peaks.
+# for sprinkle, 220 MB for triangle and 245 MB for a 4-density sweep,
+# 2.5-2.9x their n = 20 peaks.
 MAX_N = 22
 
 
@@ -137,11 +135,6 @@ OPTIONS: dict[str, list[Option]] = {
         Option("eps", _POSITIVE, 0.3, "eps = n(p - p_hat) of the merged density, > 0"),
         Option("alpha", _UNIT, DEFAULT_ALPHA, "component-size exponent"),
         Option("seeds", _COUNT, 100, "number of independent repetitions"),
-    ],
-    "duality": _COMMON + _SOLVER + _PC + [
-        _N,
-        Option("eps", _POSITIVE, 0.3, "eps = n(p - p_hat) of the upper side, mirrored below"),
-        Option("replicates", _COUNT, 100, "matched replicates per side"),
     ],
     "triangle": _COMMON + _SOLVER + _PC + [
         _N,
@@ -344,16 +337,6 @@ def _cmd_sprinkle(cfg: dict[str, Any]) -> Run:
                [f"{len(runs)} runs; union cluster >= M/3 in {merged_ok}/{len(runs)}"])
 
 
-def _cmd_duality(cfg: dict[str, Any]) -> Run:
-    p_hat = _p_hat(cfg)
-    for side in (-1.0, 1.0):
-        _density(p_hat, side * cfg["eps"], cfg["n"])
-    report = duality_experiment(cfg["n"], cfg["eps"], cfg["replicates"], cfg["seed"], p_hat)
-    return Run({"duality.csv": (reports.DUALITY_HEADER, reports.duality_rows(report))},
-               [f"duality ratio mean|C2|({report.p_above:.5f}) / mean|Cmax|"
-                f"({report.p_below:.5f}) = {report.ratio_of_means:.4f}"])
-
-
 def _cmd_triangle(cfg: dict[str, Any]) -> Run:
     p = cfg["p"] if cfg["p"] is not None else _density(_p_hat(cfg), cfg["eps"], cfg["n"])
     dim = CubeDim(cfg["n"])
@@ -404,7 +387,6 @@ _DISPATCH = {
     "pc-solve": _cmd_pc_solve,
     "sweep": _cmd_sweep,
     "sprinkle": _cmd_sprinkle,
-    "duality": _cmd_duality,
     "triangle": _cmd_triangle,
     "oracle": _cmd_oracle,
     "lemma-check": _cmd_lemma_check,

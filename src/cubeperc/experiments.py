@@ -1,4 +1,4 @@
-"""Scripted drivers for the phase picture: sweeps, sprinkling, duality, exact oracle.
+"""Scripted drivers for the phase picture: sweeps, sprinkling, exact oracle.
 
 Replicate r of every experiment draws its uniforms from (master_seed, r),
 so rows of an epsilon sweep are coupled across the grid: the same replicate
@@ -31,12 +31,10 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "SprinkleReport",
-    "DualityReport",
     "ExactOracle",
     "RegimeSummary",
     "run_sweep",
     "sprinkling_experiment",
-    "duality_experiment",
     "exact_enumerate",
     "regime_summary",
 ]
@@ -113,19 +111,6 @@ class SprinkleReport:
 
 
 @dataclass(frozen=True)
-class DualityReport:
-    """Second-largest cluster above the window vs the largest mirrored below it."""
-
-    n: int
-    epsilon: float
-    p_above: float
-    p_below: float
-    c2_above: tuple[int, ...]
-    cmax_below: tuple[int, ...]
-    ratio_of_means: float
-
-
-@dataclass(frozen=True)
 class ExactOracle:
     """Exhaustive enumeration of all bond configurations (n <= 3)."""
 
@@ -150,19 +135,10 @@ class SummaryEntry:
 @dataclass(frozen=True)
 class RegimeSummary:
     entries: tuple[SummaryEntry, ...]
-    duality_ratio: float | None = None
-    triangle_offdiag: float | None = None
-    triangle_a0: float | None = None
 
     def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            out.append(f"{e.regime:>7}  {e.metric:<24} {e.value:.6g}   ({e.rows} rows)")
-        if self.duality_ratio is not None:
-            out.append(f"duality  mean|C2|(+eps) / mean|Cmax|(-eps) = {self.duality_ratio:.6g}")
-        if self.triangle_offdiag is not None:
-            out.append(f"triangle offdiag = {self.triangle_offdiag:.6g}  vs  a0 = {self.triangle_a0:.6g}")
-        return out
+        return [f"{e.regime:>7}  {e.metric:<24} {e.value:.6g}   ({e.rows} rows)"
+                for e in self.entries]
 
 
 def _references(n: int, eps: float) -> tuple[float, float, float]:
@@ -259,29 +235,6 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
                           cmax_before, cmax_after, c2_after, merged)
 
 
-def duality_experiment(n: int, eps: float, replicates: int, master_seed: int,
-                       p_hat: float) -> DualityReport:
-    """Second-largest cluster at p_hat + eps/n vs largest at p_hat - eps/n.
-
-    Matched replicate seeds on both sides.  Report-only: the ratio of means
-    probes the mirrored-density conjecture, nothing is asserted.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    dim = CubeDim(n)
-    p_above = p_hat + eps / n
-    p_below = p_hat - eps / n
-    if p_below < 0.0 or p_above > 1.0:
-        raise ValueError("eps pushes one side outside [0, 1]")
-    below, above = replicate_stats(dim, (p_below, p_above), master_seed, range(replicates))
-    c2_above, cmax_below = above.c2, below.cmax
-    ratio = float(np.mean(c2_above) / np.mean(cmax_below))
-    return DualityReport(n, eps, p_above, p_below, tuple(c2_above.tolist()),
-                         tuple(cmax_below.tolist()), ratio)
-
-
 def exact_enumerate(n: int, p: float) -> ExactOracle:
     """Exact observables by iterating every bond configuration (n <= 3).
 
@@ -322,24 +275,30 @@ _REGIME_RATIOS = (
 )
 
 
-def regime_summary(records: list[SweepRecord], duality: DualityReport | None = None,
-                   triangle: TriangleReport | None = None) -> RegimeSummary:
+def regime_summary(records: list[SweepRecord]) -> RegimeSummary:
     """Aggregate measured largest-cluster sizes against their regime scales.
 
     Below the window the scale is 2 log V / eps^2, inside it V^(2/3), above
     it 2 eps V with the susceptibility compared to 4 eps^2 V.  Conjectural
-    quantities (duality ratio, triangle bound) are attached for inspection.
+    quantities are read off the same records for inspection: the duality
+    ratio mean|C_2|(+eps) / mean|C_max|(-eps) for each mirrored pair of the
+    grid, and the triangle of the measured row closest to p_hat.
     """
     if not records:
         raise ValueError("no records to summarize")
+    live = [rec for rec in records if not rec.skipped]
     entries: list[SummaryEntry] = []
     for regime, metric, ratio in _REGIME_RATIOS:
-        ratios = [ratio(rec) for rec in records if not rec.skipped and rec.regime == regime]
+        ratios = [ratio(rec) for rec in live if rec.regime == regime]
         if ratios:
             entries.append(SummaryEntry(regime, metric, float(np.mean(ratios)), len(ratios)))
-    return RegimeSummary(
-        entries=tuple(entries),
-        duality_ratio=duality.ratio_of_means if duality else None,
-        triangle_offdiag=triangle.nabla_offdiag if triangle else None,
-        triangle_a0=triangle.a0 if triangle else None,
-    )
+    by_eps = {rec.epsilon: rec for rec in live}
+    for eps in sorted(e for e in by_eps if e > 0.0 and -e in by_eps):
+        entries.append(SummaryEntry("conjecture", f"duality c2(+{eps!r})/cmax(-{eps!r})",
+                                    by_eps[eps].c2_mean / by_eps[-eps].cmax_mean, 2))
+    triangles = [rec for rec in live if rec.triangle]
+    if triangles:
+        tri = min(triangles, key=lambda rec: abs(rec.epsilon)).triangle  # first on a tie
+        entries.append(SummaryEntry("conjecture", "triangle nabla_offdiag", tri.nabla_offdiag, 1))
+        entries.append(SummaryEntry("conjecture", "triangle a0", tri.a0, 1))
+    return RegimeSummary(tuple(entries))

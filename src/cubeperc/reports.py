@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .critical import PcResult
-from .experiments import DualityReport, RegimeSummary, SprinkleReport, SweepRecord
+from .experiments import RegimeSummary, SprinkleReport, SweepRecord
 from .lemmas import SuiteResult
 from .stats import RadialProfile, TriangleReport
 
@@ -25,7 +25,6 @@ __all__ = [
     "sweep_rows",
     "summary_rows",
     "sprinkle_rows",
-    "duality_rows",
     "profile_rows",
     "triangle_rows",
     "suite_rows",
@@ -111,13 +110,7 @@ SUMMARY_HEADER = ["regime", "metric", "value", "rows"]
 
 
 def summary_rows(summary: RegimeSummary) -> list[list[Any]]:
-    rows: list[list[Any]] = [[e.regime, e.metric, e.value, e.rows] for e in summary.entries]
-    if summary.duality_ratio is not None:
-        rows.append(["conjecture", "duality c2(+eps)/cmax(-eps)", summary.duality_ratio, 1])
-    if summary.triangle_offdiag is not None:
-        rows.append(["conjecture", "triangle nabla_offdiag", summary.triangle_offdiag, 1])
-        rows.append(["conjecture", "triangle a0", summary.triangle_a0, 1])
-    return rows
+    return [[e.regime, e.metric, e.value, e.rows] for e in summary.entries]
 
 
 SPRINKLE_HEADER = ["replicate", "n", "epsilon", "alpha", "p", "p_minus",
@@ -128,14 +121,6 @@ def sprinkle_rows(reports: list[SprinkleReport]) -> list[list[Any]]:
     return [[i, r.n, r.epsilon, r.alpha, r.p, r.p_minus,
              r.M, r.cmax_before, r.cmax_after, r.c2_after, r.merged_fraction]
             for i, r in enumerate(reports)]
-
-
-DUALITY_HEADER = ["replicate", "c2_above", "cmax_below", "p_above", "p_below"]
-
-
-def duality_rows(report: DualityReport) -> list[list[Any]]:
-    return [[r, c2, cm, report.p_above, report.p_below]
-            for r, (c2, cm) in enumerate(zip(report.c2_above, report.cmax_below))]
 
 
 PROFILE_HEADER = ["k", "t_k"]

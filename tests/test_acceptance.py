@@ -15,7 +15,6 @@ from cubeperc.cube import CubeDim
 from cubeperc.experiments import (
     ObservableFlags,
     SweepConfig,
-    duality_experiment,
     exact_enumerate,
     regime_summary,
     run_sweep,
@@ -198,22 +197,28 @@ def test_criterion_10_report_only_quantities(pc14):
         n = 14
         # eps = 0.45 keeps both grid points outside the default window band
         # (|Lambda| = 0.45 * 2^(14/3) = 11.4 > 10), so the summary carries
-        # genuine below- and above-window sections.
-        dual = duality_experiment(n, 0.45, 50, 1001, pc14.p_hat)
+        # genuine below- and above-window sections.  Each sweep gets its own
+        # summary, since seeds 1001 and 1002 both measure the +-0.45 pair.
+        dual_cfg = SweepConfig(n=n, epsilon_grid=(-0.45, 0.45), replicates=50,
+                               master_seed=1001)
+        dual_summary = regime_summary(run_sweep(dual_cfg, pc14.p_hat))
         cfg = SweepConfig(n=n, epsilon_grid=(-0.45, 0.45), replicates=60,
                           master_seed=1002)
-        records = run_sweep(cfg, pc14.p_hat)
+        summary = regime_summary(run_sweep(cfg, pc14.p_hat))
 
         # the triangle at p_hat itself: eps = 0, K1 = K2 = 1
         tri_cfg = SweepConfig(n=n, epsilon_grid=(0.0,), replicates=30, master_seed=1003,
                               observables=ObservableFlags(triangle=True))
-        triangle = run_sweep(tri_cfg, pc14.p_hat)[0].triangle
+        tri_records = run_sweep(tri_cfg, pc14.p_hat)
+        triangle = tri_records[0].triangle
+        tri_summary = regime_summary(tri_records)
 
-        summary = regime_summary(records, duality=dual, triangle=triangle)
-        assert summary.duality_ratio is not None
-        assert summary.triangle_offdiag is not None
-        for line in summary.lines():
-            print("  " + line)
+        assert any(e.metric == "duality c2(+0.45)/cmax(-0.45)" for e in dual_summary.entries)
+        assert {"triangle nabla_offdiag", "triangle a0"} <= {e.metric for e in tri_summary.entries}
+        for seed, each in ((1001, dual_summary), (1002, summary), (1003, tri_summary)):
+            print(f"  seed {seed}:")
+            for line in each.lines():
+                print("  " + line)
         print(f"  triangle diag={triangle.nabla_diag:.4f} offdiag={triangle.nabla_offdiag:.4f} "
               f"a0={triangle.a0:.4f} (K1=K2=1)")
 

@@ -78,7 +78,8 @@ def test_invalid_flag_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [["pc-solve"], ["sweep", "--eps", "0"], ["sprinkle"],
-                                  ["duality"], ["triangle"], ["triangle", "--pc", "0.04"]])
+                                  ["sweep", "--eps", "-0.45,0.45", "--pc", "0.04"],
+                                  ["triangle"], ["triangle", "--pc", "0.04"]])
 def test_oversized_n_is_refused_before_allocating(tmp_path, capsys, argv):
     # one sample at n = MAX_N + 1 alone takes (MAX_N + 1) 2^MAX_N bytes of planes
     out = tmp_path / "big"
@@ -136,8 +137,6 @@ def test_largest_n_passes_the_cap(tmp_path, capsys):
     (["triangle", "--n", "6", "--p", "2"], EXIT_USAGE,
      "--p: expected a density in [0, 1], got '2'"),
     (["oracle", "--n", "2", "--p", "2"], EXIT_USAGE, "--p: expected a density in [0, 1]"),
-    (["duality", "--n", "6", "--eps", "5", "--pc", "0.2"], EXIT_USAGE,
-     f"p_hat = 0.2 and eps = -5.0 put p_hat + eps/n = {0.2 - 5 / 6} outside [0, 1]"),
     (["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1", "--pc", "0.12"], EXIT_USAGE,
      "p_hat = 0.12 and eps = 8.0 put p_hat + eps/n = 1.12 outside [0, 1]"),
     (["pc-solve", "--n", "6", "--lambda", "-1"], EXIT_USAGE,
@@ -154,7 +153,7 @@ def test_largest_n_passes_the_cap(tmp_path, capsys):
     (["pc-solve", "--n", "3", "--lambda", "0.1"], EXIT_USAGE,
      "--lambda 0.1 puts the target lambda 2^(n/3) outside [1, 2^3]"),
     (["lemma-check", "--seed", "-50"], EXIT_USAGE, "--seed: expected an integer >= 0, got '-50'"),
-], ids=["triangle", "oracle", "duality", "sprinkle", "pc-solve", "pc-solve-nan-lambda",
+], ids=["triangle", "oracle", "sprinkle", "pc-solve", "pc-solve-nan-lambda",
         "pc-solve-nan-tol", "pc-solve-n0", "pc-solve-start", "pc-solve-cap", "pc-solve-target",
         "lemma-check-seed"])
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys, argv, code, message):
@@ -225,8 +224,11 @@ def test_sweep_writes_triangle_when_asked(tmp_path):
     assert parse_and_dispatch(base + ["--out", str(plain)]) == EXIT_OK
     assert not (plain / "triangle.csv").exists()
     assert parse_and_dispatch(base + ["--triangle", "true", "--out", str(tri)]) == EXIT_OK
-    for name in ("sweep.csv", "regime_summary.csv"):
-        assert (tri / name).read_bytes() == (plain / name).read_bytes()
+    assert (tri / "sweep.csv").read_bytes() == (plain / "sweep.csv").read_bytes()
+    # the summary gains the triangle of the eps = 0 row after the plain run's rows
+    summary = _read_csv(tri / "regime_summary.csv")
+    assert summary[:-2] == _read_csv(plain / "regime_summary.csv")
+    assert [row[1] for row in summary[-2:]] == ["triangle nabla_offdiag", "triangle a0"]
     rows = _read_csv(tri / "triangle.csv")
     assert rows[0] == ["p", "nabla_diag", "nabla_offdiag", "a0", "k1", "k2", "chi_used"]
     # eps = 9 puts p above 1, so only three grid points are evaluated
@@ -240,6 +242,34 @@ def test_sweep_writes_triangle_when_asked(tmp_path):
     cfg_tri = tmp_path / "cfg_tri"
     assert parse_and_dispatch(base + ["--config", str(config), "--out", str(cfg_tri)]) == EXIT_OK
     assert (cfg_tri / "triangle.csv").read_bytes() == (tri / "triangle.csv").read_bytes()
+
+
+def test_triangle_sweep_summary_carries_the_triangle(tmp_path, capsys):
+    out = tmp_path / "tri"
+    assert parse_and_dispatch(["sweep", "--n", "8", "--eps", "-0.3,0,0.3", "--pc", "0.14",
+                               "--replicates", "4", "--triangle", "true",
+                               "--out", str(out)]) == EXIT_OK
+    conjecture = [row for row in _read_csv(out / "regime_summary.csv")
+                  if row[0] == "conjecture"]
+    assert [row[1] for row in conjecture] == [
+        "duality c2(+0.3)/cmax(-0.3)", "triangle nabla_offdiag", "triangle a0"]
+    triangle = _read_csv(out / "triangle.csv")
+    [at_p_hat] = [row for row in triangle[1:] if float(row[0]) == 0.14]
+    assert [row[2] for row in conjecture[1:]] == [
+        at_p_hat[triangle[0].index("nabla_offdiag")], at_p_hat[triangle[0].index("a0")]]
+    printed = capsys.readouterr().out
+    assert "triangle nabla_offdiag" in printed and "triangle a0" in printed
+
+
+def test_phase_portrait_config_reports_five_duality_ratios(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "phase_portrait.cfg"
+    out = tmp_path / "portrait"
+    assert parse_and_dispatch(["sweep", "--config", str(config), "--n", "8", "--pc", "0.14",
+                               "--replicates", "4", "--out", str(out)]) == EXIT_OK
+    rows = _read_csv(out / "regime_summary.csv")
+    assert [row[1] for row in rows if row[1].startswith("duality")] == [
+        f"duality c2(+{eps!r})/cmax(-{eps!r})" for eps in (0.15, 0.3, 0.45, 0.6, 1.0)]
+    assert all(row[3] == "2" for row in rows if row[1].startswith("duality"))
 
 
 _SWITCH_REFUSALS = {
@@ -325,7 +355,7 @@ def test_shipped_configs_parse():
         assert _parse_config_file(str(path), OPTIONS[used.group(1)]), path
 
 
-def test_sprinkle_and_duality_commands(tmp_path):
+def test_sprinkle_and_duality_commands(tmp_path, capsys):
     out = tmp_path / "spr"
     code = parse_and_dispatch(["sprinkle", "--n", "8", "--eps", "0.5", "--seeds", "5",
                                "--pc", "0.12", "--out", str(out)])
@@ -334,11 +364,13 @@ def test_sprinkle_and_duality_commands(tmp_path):
     assert len(rows) == 6
     assert rows[0][0] == "replicate"
 
+    # duality is a mirrored sweep's summary row now, no subcommand of its own
     out2 = tmp_path / "dual"
     code = parse_and_dispatch(["duality", "--n", "8", "--eps", "0.5", "--replicates", "6",
                                "--pc", "0.12", "--out", str(out2)])
-    assert code == EXIT_OK
-    assert len(_read_csv(out2 / "duality.csv")) == 7
+    assert code == EXIT_USAGE
+    assert "invalid choice: 'duality'" in capsys.readouterr().err
+    assert not out2.exists()
 
     # p_hat + eps/n = 0.12 + 8/8 exceeds 1
     code = parse_and_dispatch(["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1",
@@ -354,8 +386,8 @@ def test_sprinkle_reports_progress_every_25_seeds(tmp_path, capsys):
     assert len(_read_csv(out / "sprinkle.csv")) == 26
 
 
-@pytest.mark.parametrize("command", [["sweep", "--eps", "0"], ["sprinkle"], ["duality"],
-                                     ["triangle"]])
+@pytest.mark.parametrize("command", [["sweep", "--eps", "0"], ["sprinkle"],
+                                     ["sweep", "--eps", "-0.3,0.3"], ["triangle"]])
 @pytest.mark.parametrize("pc", ["nan", "2", "-0.1", "inf"])
 def test_pc_must_be_a_density(tmp_path, capsys, command, pc):
     out = tmp_path / "out"
@@ -392,12 +424,11 @@ def test_sweep_refuses_a_grid_with_no_density_in_range(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["duality", "--n", "12", "--replicates", "0"],
     ["triangle", "--n", "12", "--replicates", "0"],
     ["sweep", "--n", "12", "--eps", "0", "--replicates", "-1"],
     ["oracle", "--n", "2", "--p", "0.3", "--replicates", "0"],
     ["sprinkle", "--n", "8", "--seeds", "0"],
-], ids=["duality", "triangle", "sweep", "oracle", "sprinkle"])
+], ids=["triangle", "sweep", "oracle", "sprinkle"])
 def test_counts_below_one_are_refused_before_solving(tmp_path, capsys, monkeypatch, argv):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a threshold for a run with no replicates")
@@ -413,9 +444,7 @@ def test_counts_below_one_are_refused_before_solving(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("argv, message", [
     (["sprinkle", "--n", "12", "--eps", "-0.3", "--seeds", "1"], "--eps: expected a number > 0"),
     (["sprinkle", "--n", "12", "--eps", "0", "--seeds", "1"], "--eps: expected a number > 0"),
-    (["duality", "--n", "12", "--eps", "-0.3"], "--eps: expected a number > 0"),
     (["sprinkle", "--n", "12", "--eps", "nan", "--seeds", "1"], "--eps: expected a number > 0"),
-    (["duality", "--n", "12", "--eps", "nan"], "--eps: expected a number > 0"),
     (["sprinkle", "--n", "12", "--alpha", "2", "--seeds", "1"],
      "--alpha: expected a number in (0, 1)"),
     (["sprinkle", "--n", "12", "--alpha", "0", "--seeds", "1"],
@@ -424,9 +453,9 @@ def test_counts_below_one_are_refused_before_solving(tmp_path, capsys, monkeypat
     (["triangle", "--n", "8", "--eps", "100"], "--eps 100.0 lies outside [-8, 8]"),
     (["sweep", "--n", "8", "--eps", "0.1,nan"], "--eps: expected a comma-separated epsilon grid"),
     (["sweep", "--n", "8", "--eps", "inf"], "--eps: expected a comma-separated epsilon grid"),
-], ids=["sprinkle-eps", "sprinkle-eps0", "duality-eps", "sprinkle-eps-nan", "duality-eps-nan",
-        "sprinkle-alpha", "sprinkle-alpha0", "sprinkle-eps-above-n", "triangle-eps-above-n",
-        "sweep-grid-nan", "sweep-grid-inf"])
+], ids=["sprinkle-eps", "sprinkle-eps0", "sprinkle-eps-nan", "sprinkle-alpha",
+        "sprinkle-alpha0", "sprinkle-eps-above-n", "triangle-eps-above-n", "sweep-grid-nan",
+        "sweep-grid-inf"])
 def test_eps_and_alpha_are_refused_before_solving(tmp_path, capsys, monkeypatch, argv, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a threshold for a run that is refused")
@@ -560,8 +589,6 @@ _DRIVER_INPUTS = {
     "run_sweep": lambda cfg, p_hat: 0.0 <= p_hat <= 1.0 and cfg.master_seed >= 0
         and any(0.0 <= p_hat + eps / cfg.n <= 1.0 for eps in cfg.epsilon_grid),
     "sprinkling_experiment": lambda n, eps, alpha, seed, p_hat: 0.0 <= p_hat + eps / n <= 1.0,
-    "duality_experiment": lambda n, eps, replicates, seed, p_hat:
-        0.0 <= p_hat - eps / n and p_hat + eps / n <= 1.0,
     "replicate_stats": lambda dim, ps, seed, replicates, census=False:
         all(0.0 <= p <= 1.0 for p in ps) and replicates.stop > replicates.start and seed >= 0,
     "exact_enumerate": lambda n, p: n in (1, 2, 3) and 0.0 <= p <= 1.0,
@@ -622,7 +649,7 @@ def test_every_drawn_input_is_refused_before_solving_or_runs(tmp_path_factory, d
             return
     assert code == EXIT_USAGE, err.getvalue()
     if solved:  # only a refusal that depends on p_hat waits
-        assert subcommand in ("sweep", "sprinkle", "duality", "triangle")
+        assert subcommand in ("sweep", "sprinkle", "triangle")
         refusal = (r"puts p_hat \+ eps/n outside \[0, 1\] for every eps" if subcommand == "sweep"
                    else r"and eps = \S+ put p_hat \+ eps/n = \S+ outside \[0, 1\]")
         assert re.search(rf"error: p_hat = \S+ {refusal}\n$", err.getvalue()), err.getvalue()

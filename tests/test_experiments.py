@@ -10,18 +10,17 @@ from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
 from cubeperc.experiments import (
     SPRINKLE_SALT,
-    DualityReport,
     ObservableFlags,
     RegimeSummary,
     SummaryEntry,
     SweepConfig,
-    duality_experiment,
     exact_enumerate,
     regime_summary,
     run_sweep,
     sprinkling_experiment,
 )
 from cubeperc.gen import SeedSpec, sample_subgraph
+from cubeperc.stats import replicate_stats
 
 from _reference import enumerate_observables, union_graphs
 
@@ -180,40 +179,88 @@ def test_sprinkling_validation():
     assert sprinkling_experiment(4, 2.0, 0.5, SeedSpec(0), 0.5).p == 1.0
 
 
+def _duality_entries(summary):
+    return {e.metric: e.value for e in summary.entries if e.metric.startswith("duality")}
+
+
 def test_duality_edges():
-    p_hat = 0.5
-    report = duality_experiment(6, 3.0, 5, 21, p_hat)  # p_above = 1.0, p_below = 0.0
-    assert report.p_above == pytest.approx(1.0)
-    assert all(c2 == 0 for c2 in report.c2_above)
-    assert all(cm == 1 for cm in report.cmax_below)
-    assert report.ratio_of_means == 0.0
-    with pytest.raises(ValueError):
-        duality_experiment(6, 4.0, 5, 21, p_hat)
+    # p = 1 above, p = 0 below: |C_2| = 0 over |C_max| = 1
+    records = run_sweep(SweepConfig(n=6, epsilon_grid=(-3.0, 3.0), replicates=5,
+                                    master_seed=21), p_hat=0.5)
+    assert [rec.p for rec in records] == [0.0, 1.0]
+    assert (records[0].cmax_mean, records[1].c2_mean) == (1.0, 0.0)
+    assert _duality_entries(regime_summary(records)) == {"duality c2(+3.0)/cmax(-3.0)": 0.0}
+    # the -2 side falls below p = 0: a skipped row, so its pair gets no ratio
+    records = run_sweep(SweepConfig(n=6, epsilon_grid=(-2.0, 2.0), replicates=5,
+                                    master_seed=21), p_hat=0.2)
+    assert [rec.skipped for rec in records] == [True, False]
+    assert records[1].c2_mean is not None
+    assert _duality_entries(regime_summary(records)) == {}
+    # a grid with no mirror has no pair
+    records = run_sweep(SweepConfig(n=6, epsilon_grid=(-0.3, 0.5), replicates=5,
+                                    master_seed=21), p_hat=0.2)
+    assert _duality_entries(regime_summary(records)) == {}
+
+
+@pytest.mark.parametrize("n, eps, replicates, seed, p_hat", [
+    (8, 0.5, 6, 1, 0.12),
+    (10, 0.3, 20, 5, 0.115),
+])
+def test_duality_ratio_matches_matched_replicates(n, eps, replicates, seed, p_hat):
+    # the ratio of means over the same replicate seeds on both sides of p_hat
+    below, above = replicate_stats(CubeDim(n), (p_hat - eps / n, p_hat + eps / n), seed,
+                                   range(replicates))
+    expected = float(np.mean(above.c2) / np.mean(below.cmax))
+    records = run_sweep(SweepConfig(n=n, epsilon_grid=(-eps, 0.0, eps), replicates=replicates,
+                                    master_seed=seed), p_hat)
+    assert _duality_entries(regime_summary(records)) == {
+        f"duality c2(+{eps!r})/cmax(-{eps!r})": expected}
 
 
 def test_regime_summary_sections():
-    cfg = SweepConfig(n=10, epsilon_grid=(-1.0, 0.0, 1.0), replicates=8, master_seed=6)
+    cfg = SweepConfig(n=10, epsilon_grid=(-1.0, 0.0, 1.0, 2.0), replicates=8, master_seed=6)
     records = run_sweep(cfg, p_hat=0.105)
     summary = regime_summary(records)
     regimes = {e.regime for e in summary.entries}
-    assert "below" in regimes and "inside" in regimes and "above" in regimes
+    assert regimes == {"below", "inside", "above", "conjecture"}
     metrics = {e.metric for e in summary.entries}
     assert "chi / (4 eps^2 V)" in metrics
-    assert summary.duality_ratio is None
-    dual = DualityReport(10, 1.0, 0.2, 0.0, (5, 6), (7, 8), 11.0 / 15.0)
-    with_dual = regime_summary(records, duality=dual)
-    assert with_dual.duality_ratio == pytest.approx(11.0 / 15.0)
-    assert any("duality" in line for line in with_dual.lines())
+    # +1 has a mirror, +2 has none; no record carries a triangle
+    [dual] = [e for e in summary.entries if e.regime == "conjecture"]
+    assert dual == SummaryEntry("conjecture", "duality c2(+1.0)/cmax(-1.0)",
+                                records[2].c2_mean / records[0].cmax_mean, 2)
+    assert summary.entries[-1] == dual
+    assert "duality c2(+1.0)/cmax(-1.0)" in summary.lines()[-1]
     with pytest.raises(ValueError):
         regime_summary([])
 
 
+def test_regime_summary_reads_the_triangle_closest_to_p_hat():
+    cfg = SweepConfig(n=6, epsilon_grid=(0.5, -0.3, 0.3, 0.0), replicates=4, master_seed=2,
+                      observables=ObservableFlags(triangle=True))
+    records = run_sweep(cfg, p_hat=0.2)
+    conjecture = [e for e in regime_summary(records).entries if e.regime == "conjecture"]
+    tri = records[3].triangle
+    assert conjecture == [
+        SummaryEntry("conjecture", "duality c2(+0.3)/cmax(-0.3)",
+                     records[2].c2_mean / records[1].cmax_mean, 2),
+        SummaryEntry("conjecture", "triangle nabla_offdiag", tri.nabla_offdiag, 1),
+        SummaryEntry("conjecture", "triangle a0", tri.a0, 1),
+    ]
+    # with no eps = 0 row, -0.3 and +0.3 tie and the first in grid order wins
+    tied = [rec for rec in records if rec.epsilon != 0.0]
+    assert regime_summary(tied).entries[-1] == SummaryEntry(
+        "conjecture", "triangle a0", records[1].triangle.a0, 1)
+
+
 def test_summary_rows_render_the_conjecture_rows():
-    summary = RegimeSummary((SummaryEntry("inside", "cmax / V^(2/3)", 0.5, 2),),
-                            duality_ratio=0.75, triangle_offdiag=0.25, triangle_a0=1.5)
+    summary = RegimeSummary((SummaryEntry("inside", "cmax / V^(2/3)", 0.5, 2),
+                             SummaryEntry("conjecture", "duality c2(+0.3)/cmax(-0.3)", 0.75, 2),
+                             SummaryEntry("conjecture", "triangle nabla_offdiag", 0.25, 1),
+                             SummaryEntry("conjecture", "triangle a0", 1.5, 1)))
     assert reports.summary_rows(summary) == [
         ["inside", "cmax / V^(2/3)", 0.5, 2],
-        ["conjecture", "duality c2(+eps)/cmax(-eps)", 0.75, 1],
+        ["conjecture", "duality c2(+0.3)/cmax(-0.3)", 0.75, 2],
         ["conjecture", "triangle nabla_offdiag", 0.25, 1],
         ["conjecture", "triangle a0", 1.5, 1],
     ]
