@@ -34,7 +34,6 @@ from .stats import (  # noqa: F401
     replicate_stats,
     triangle_diagram_hat,
     two_point_profile,
-    z_concentration_check,
 )
 from .critical import (  # noqa: F401
     PcResult,

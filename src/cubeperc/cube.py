@@ -3,8 +3,8 @@
 Vertices are the integers 0..2^n-1.  Flipping coordinate i is XOR with
 1 << i, so graph distance is the popcount of the XOR of two vertices and
 no adjacency structure is ever stored.  A vertex set is a boolean mask of
-shape (2^n,).  Everything in this module is exact
-and pure: no randomness, no shared mutable state.
+shape (2^n,); `hamming_ball` also grows a (k, 2^n) stack of them.  Everything
+in this module is exact and pure: no randomness, no shared mutable state.
 """
 
 from __future__ import annotations
@@ -85,20 +85,24 @@ def ball_volume_exact(dim: CubeDim, u: int) -> int:
 
 
 def _flip(x: np.ndarray, i: int) -> np.ndarray:
-    """x read at v ^ (1 << i) for every vertex v: the neighbours across coordinate i."""
-    # reshaping to (..., 2, 2^i) and flipping the middle axis maps v -> v ^ (1 << i)
-    return x.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
+    """x, a mask or a stack of masks, read at v ^ (1 << i) for every vertex v."""
+    # reshaping to (..., 2, 2^i) and flipping the middle axis maps v -> v ^ (1 << i);
+    # 2^(i+1) divides 2^n, so no block straddles two rows of a stack
+    return x.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(x.shape)
 
 
-def _check_set(dim: CubeDim, x: np.ndarray) -> None:
-    if not isinstance(x, np.ndarray) or x.shape != (dim.volume,) or x.dtype != bool:
-        raise ValueError(f"a vertex set must be a boolean mask of shape ({dim.volume},)")
+def _check_set(dim: CubeDim, x: np.ndarray, ndims: tuple[int, ...] = (1,)) -> None:
+    if not (isinstance(x, np.ndarray) and x.ndim in ndims and x.shape[-1] == dim.volume
+            and x.dtype == bool):
+        raise ValueError(f"a vertex set must be a boolean mask of shape ({dim.volume},)"
+                         + ("" if ndims == (1,) else f" or a (k, {dim.volume}) stack of them"))
 
 
 def hamming_ball(dim: CubeDim, x: np.ndarray, d: int) -> np.ndarray:
-    """All vertices within distance d of the vertex set x, by breadth-first expansion."""
-    _check_set(dim, x)
-    if not x.any():
+    """All vertices within distance d of the vertex set x, or of each row of a
+    (k, 2^n) stack of sets, by breadth-first expansion."""
+    _check_set(dim, x, ndims=(1, 2))
+    if not x.any(axis=-1).all():
         raise ValueError("ball around an empty set is undefined")
     if d < 0:
         raise ValueError("radius must be nonnegative")
@@ -113,21 +117,12 @@ def hamming_ball(dim: CubeDim, x: np.ndarray, d: int) -> np.ndarray:
     return reached
 
 
-def _ceil_half(n: int, delta: float) -> int:
-    """Smallest integer >= (n + delta)/2, exact when delta is integral."""
-    if float(delta).is_integer():
-        return (n + int(delta) + 1) // 2
-    return math.ceil((n + delta) / 2)
-
-
 def tail_sum_exact(dim: CubeDim, delta: float) -> int:
     """Exact binomial tail: sum of C(n,i) over i >= (n + delta)/2."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    start = _ceil_half(dim.n, delta)
-    if start > dim.n:
-        return 0
-    return sum(math.comb(dim.n, i) for i in range(start, dim.n + 1))
+    # (n + delta) / 2 is exact in a double for integral delta below 2^52; above, the range is empty
+    return sum(math.comb(dim.n, i) for i in range(math.ceil((dim.n + delta) / 2), dim.n + 1))
 
 
 def large_deviation_bound(dim: CubeDim, delta: float) -> float:

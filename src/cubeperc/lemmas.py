@@ -4,6 +4,10 @@ Each suite samples random instances, checks an exact inequality, and
 reports a violation count (which should always be zero: these are theorems,
 so a nonzero count means the implementation is broken).  Every suite yields
 one outcome per instance, None or the failure text, and `_tally` counts them.
+`_random_subsets` draws vertex sets as the rows of a boolean matrix.  The
+Harper suite draws a dimension's (u, d) pairs first, then grows the sets of each
+distinct pair in stacks of at most 2^22 mask entries, one `hamming_ball` call
+per stack.  The overlap and path suites vary their sizes, so draw per instance.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import (
+    MAX_DIMENSION,
     CubeDim,
     ball_volume_exact,
     disjoint_short_paths,
@@ -45,21 +50,22 @@ class SuiteResult:
         return self.violations == 0
 
 
-def _random_subset(rng: np.random.Generator, dim: CubeDim, size: int) -> np.ndarray:
-    mask = np.zeros(dim.volume, dtype=bool)
-    mask[rng.choice(dim.volume, size=size, replace=False)] = True
-    return mask
+_BATCH_ENTRIES = 1 << 22  # mask entries per Harper stack: one row at n = 22
+
+
+def _random_subsets(rng: np.random.Generator, dim: CubeDim, count: int, size: int) -> np.ndarray:
+    """`count` uniform random `size`-vertex sets, the rows of a (count, 2^n) mask:
+    each row keeps the vertices holding its `size` smallest uniform keys."""
+    smallest = np.argpartition(rng.random((count, dim.volume)), size - 1, axis=1)[:, :size]
+    masks = np.zeros((count, dim.volume), dtype=bool)
+    np.put_along_axis(masks, smallest, True, axis=1)
+    return masks
 
 
 def _tally(name: str, outcomes: Iterable[str | None]) -> SuiteResult:
-    instances = violations = 0
-    first = ""
-    for failure in outcomes:
-        instances += 1
-        if failure is not None:
-            violations += 1
-            first = first or failure
-    return SuiteResult(name, instances, violations, first)
+    results = list(outcomes)
+    failures = [failure for failure in results if failure is not None]
+    return SuiteResult(name, len(results), len(failures), failures[0] if failures else "")
 
 
 def run_harper_suite(n_max: int = 12, instances_per_n: int = 10_000, seed: int = 0) -> SuiteResult:
@@ -69,30 +75,28 @@ def run_harper_suite(n_max: int = 12, instances_per_n: int = 10_000, seed: int =
         for n in range(1, n_max + 1):
             dim = CubeDim(n)
             rng = np.random.default_rng(seed + n)
-            for _ in range(instances_per_n):
-                u = int(rng.integers(0, n + 1))
-                d = int(rng.integers(0, n + 1))
-                x = _random_subset(rng, dim, ball_volume_exact(dim, u))
-                grown = hamming_ball(dim, x, d).sum()
-                yield (f"n={n} u={u} d={d} |X|={x.sum()} |B|={grown}"
-                       if grown < ball_volume_exact(dim, u + d) else None)
+            rows = _BATCH_ENTRIES >> n
+            pairs, counts = np.unique(rng.integers(0, n + 1, size=(2, instances_per_n)),
+                                      axis=1, return_counts=True)
+            for (u, d), count in zip(pairs.T.tolist(), counts.tolist()):
+                size, bound = ball_volume_exact(dim, u), ball_volume_exact(dim, u + d)
+                for start in range(0, count, rows):
+                    x = _random_subsets(rng, dim, min(count - start, rows), size)
+                    for grown in hamming_ball(dim, x, d).sum(axis=1).tolist():
+                        yield f"n={n} u={u} d={d} |X|={size} |B|={grown}" if grown < bound else None
     return _tally("harper-ball-growth", outcomes())
 
 
-def run_tail_suite(n_max: int = 30) -> SuiteResult:
+def run_tail_suite(n_max: int = MAX_DIMENSION) -> SuiteResult:
     """Binomial tail symmetry and its large-deviation bound, exact for every
     integer offset up to each dimension."""
     def outcomes() -> Iterator[str | None]:
         for n in range(1, n_max + 1):
-            dim = CubeDim(n) if n <= 28 else None
+            dim = CubeDim(n)
             for delta in range(0, n + 1):
                 lower = sum(math.comb(n, i) for i in range((n - delta) // 2 + 1))
-                if dim is None:
-                    upper = sum(math.comb(n, i) for i in range((n + delta + 1) // 2, n + 1))
-                    bound = 2.0**n * math.exp(-(delta * delta) / (2.0 * n))
-                else:
-                    upper = tail_sum_exact(dim, delta)
-                    bound = large_deviation_bound(dim, delta)
+                upper = tail_sum_exact(dim, delta)
+                bound = large_deviation_bound(dim, delta)
                 yield (f"n={n} delta={delta} upper={upper} lower={lower} bound={bound}"
                        if upper != lower or upper > bound else None)
     return _tally("tail-symmetry-and-bound", outcomes())
@@ -108,8 +112,7 @@ def run_overlap_suite(n_max: int = 12, instances_per_n: int = 1_000, seed: int =
             for _ in range(instances_per_n):
                 eps = float(rng.uniform(0.05, 1.0))
                 size = math.ceil(eps * dim.volume)
-                s = _random_subset(rng, dim, size)
-                t = _random_subset(rng, dim, size)
+                s, t = _random_subsets(rng, dim, 2, size)
                 delta = min_overlap_delta(dim, eps)
                 overlap = int((hamming_ball(dim, s, delta) & t).sum())
                 yield (f"n={n} eps={eps:.4f} delta={delta} overlap={overlap} |T|={size}"
@@ -129,8 +132,8 @@ def run_paths_suite(n_max: int = 10, instances_per_n: int = 100, seed: int = 0) 
             for _ in range(instances_per_n):
                 size_s = int(rng.integers(1, dim.volume + 1))
                 size_t = int(rng.integers(1, dim.volume + 1))
-                s = _random_subset(rng, dim, size_s)
-                t = _random_subset(rng, dim, size_t)
+                s = _random_subsets(rng, dim, 1, size_s)[0]
+                t = _random_subsets(rng, dim, 1, size_t)[0]
                 delta = int(rng.integers(0, n + 1))
                 problem = _paths_problem(dim, s, t, delta, min(size_s, size_t) / dim.volume)
                 yield None if problem is None else f"n={n} delta={delta}: {problem}"

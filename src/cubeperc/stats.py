@@ -34,7 +34,6 @@ __all__ = [
     "RadialProfile",
     "ReplicateStats",
     "TriangleReport",
-    "ZConcentrationReport",
     "chi_sample",
     "n_alpha",
     "pair_census",
@@ -42,7 +41,6 @@ __all__ = [
     "two_point_profile",
     "radial_convolution",
     "triangle_diagram_hat",
-    "z_concentration_check",
 ]
 
 
@@ -113,19 +111,6 @@ class TriangleReport:
     k1: float
     k2: float
     chi_used: float
-
-
-@dataclass(frozen=True)
-class ZConcentrationReport:
-    """How often the moderately-large-component count strays from its mean."""
-
-    n_alpha: float
-    eta1: float
-    mean_z: float
-    theta_hat: float
-    threshold: float
-    exceed_frequency: float
-    replicates: int
 
 
 def chi_sample(labeling: ClusterLabeling) -> float:
@@ -392,32 +377,4 @@ def triangle_diagram_hat(profile: RadialProfile, chi: float,
         k1=TRIANGLE_K1,
         k2=TRIANGLE_K2,
         chi_used=chi,
-    )
-
-
-def z_concentration_check(dim: CubeDim, z_geq: np.ndarray, n_alpha_value: float,
-                          eta1: float) -> ZConcentrationReport:
-    """Frequency of replicates whose large-component count strays from the mean.
-
-    `z_geq` holds one count per replicate at cutoff ceil(n_alpha_value), as
-    `replicate_stats` returns it.  Counts deviations strictly exceeding
-    2^(n(1-eta1)) * theta_hat, so a degenerate ensemble (all replicates
-    identical) reports frequency zero.  Report-only: no pass/fail semantics
-    attached.
-    """
-    if len(z_geq) == 0:
-        raise ValueError("at least one replicate required")
-    zs = np.asarray(z_geq, dtype=np.float64)
-    mean_z = float(zs.mean())
-    theta_hat = mean_z / dim.volume
-    threshold = dim.volume ** (1.0 - eta1) * theta_hat
-    exceed = float((np.abs(zs - mean_z) > threshold).mean())
-    return ZConcentrationReport(
-        n_alpha=n_alpha_value,
-        eta1=eta1,
-        mean_z=mean_z,
-        theta_hat=theta_hat,
-        threshold=threshold,
-        exceed_frequency=exceed,
-        replicates=len(zs),
     )

@@ -549,7 +549,7 @@ def test_lemma_check_small(tmp_path):
         "harper-ball-growth,250,0,",
         "big-overlap,100,0,",
         "disjoint-short-paths,40,0,",
-        "tail-symmetry-and-bound,495,0,",
+        "tail-symmetry-and-bound,434,0,",
     ]
 
 

@@ -50,9 +50,12 @@ def _mask(dim, members):
 def test_vertex_sets_must_be_boolean_masks():
     dim = CubeDim(3)
     good = _mask(dim, [0])
-    for bad in (np.ones(7, dtype=bool), np.ones(8, dtype=np.int8), np.ones((2, 8), dtype=bool)):
-        with pytest.raises(ValueError, match="boolean mask"):
-            hamming_ball(dim, bad, 1)
+    stack = np.ones((2, 8), dtype=bool)  # hamming_ball grows stacks, the path builder does not
+    for bad in (np.ones(7, dtype=bool), np.ones(8, dtype=np.int8), np.ones((2, 7), dtype=bool),
+                np.ones((2, 2, 8), dtype=bool), stack):
+        if bad is not stack:
+            with pytest.raises(ValueError, match="boolean mask"):
+                hamming_ball(dim, bad, 1)
         with pytest.raises(ValueError, match="boolean mask"):
             disjoint_short_paths(dim, bad, good, 1)
         with pytest.raises(ValueError, match="boolean mask"):
@@ -68,6 +71,34 @@ def test_hamming_ball_trivial_cases():
     assert hamming_ball(dim, v, 3).sum() == 8
     with pytest.raises(ValueError):
         hamming_ball(dim, _mask(dim, []), 1)
+    with pytest.raises(ValueError, match="empty set"):
+        hamming_ball(dim, np.stack([v, _mask(dim, [])]), 1)
+
+
+@given(n=st.integers(1, 6), seed=st.integers(0, 10**6), data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_hamming_ball_grows_a_stack_row_by_row(n, seed, data):
+    dim = CubeDim(n)
+    rng = np.random.default_rng(seed)
+    drawn = rng.random((int(rng.integers(1, 6)), dim.volume)) < data.draw(st.floats(0.0, 1.0))
+    drawn[:, int(rng.integers(0, dim.volume))] = True  # no row is empty
+    drawn[0] = True  # one row is already full
+    for stack in (drawn, np.ones_like(drawn)):  # and a stack whose rows are all full
+        for d in (0, 1, n, n + 3):
+            grown = hamming_ball(dim, stack, d)
+            assert grown.shape == stack.shape
+            for row, want in zip(stack, grown):
+                assert (hamming_ball(dim, row, d) == want).all()
+
+
+@given(n=st.integers(1, 6), count=st.integers(1, 4), seed=st.integers(0, 10**6), data=st.data())
+@settings(deadline=None, max_examples=80)
+def test_random_subsets_have_exactly_the_asked_size(n, count, seed, data):
+    dim = CubeDim(n)
+    size = data.draw(st.integers(1, dim.volume))
+    masks = lemmas._random_subsets(np.random.default_rng(seed), dim, count, size)
+    assert masks.shape == (count, dim.volume) and masks.dtype == bool
+    assert masks.sum(axis=1).tolist() == [size] * count
 
 
 @given(n=st.integers(2, 8), d1=st.integers(0, 8), d2=st.integers(0, 8), seed=st.integers(0, 100))
@@ -235,5 +266,5 @@ def test_paths_suite_counts_pathlist_rejections(monkeypatch):
                         lambda dim, s, t, delta: PathList(dim, 0, ((0, 1),)))
     result = lemmas.run_paths_suite(n_max=2, instances_per_n=3)
     assert (result.instances, result.violations) == (3, 3)
-    # the three instances draw delta = 2, 0, 1: the first failure is kept, not the last
+    # the three instances draw delta = 2, 0, 0: the first failure is kept, not the last
     assert result.first_failure == "n=2 delta=2: path longer than the bound it was built for"

@@ -22,7 +22,6 @@ from cubeperc.stats import (
     replicate_stats,
     triangle_diagram_hat,
     two_point_profile,
-    z_concentration_check,
 )
 
 from _reference import (
@@ -403,16 +402,9 @@ def test_triangle_diagram_trivials():
 def test_z_concentration_trivials():
     dim = CubeDim(5)
     full = replicate_stats(dim, (1.0,), 0, range(20), z_at=(4,))[0].z_geq
-    rep = z_concentration_check(dim, full, 4.0, 0.3)
-    assert rep.exceed_frequency == 0.0
-    assert rep.mean_z == 32.0
-    assert rep.replicates == 20
+    assert full.tolist() == [32] * 20
     empty = replicate_stats(dim, (0.0,), 0, range(20), z_at=(2,))[0].z_geq
-    rep0 = z_concentration_check(dim, empty, 2.0, 0.3)
-    assert rep0.exceed_frequency == 0.0
-    assert rep0.mean_z == 0.0
-    with pytest.raises(ValueError):
-        z_concentration_check(dim, full[:0], 4.0, 0.3)
+    assert empty.tolist() == [0] * 20
 
 
 def test_chi_monotone_under_coupling():
