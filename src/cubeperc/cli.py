@@ -1,19 +1,18 @@
 """Command-line front end.
 
 Subcommands: pc-solve, sweep, sprinkle, triangle, oracle, lemma-check.
-Each writes fixed-schema CSV files plus a manifest that records the full
-effective configuration, seed, code version, wall clock and the process's
-minor page faults and peak RSS.  Option precedence is
-command line > config file > defaults; the config file is flat
-`key = value` text using the long option names, and unknown keys are
-rejected.
+Option precedence is command line > config file > defaults; a config file is
+flat `key = value` text by the long option names, `#` starts a comment, and
+unknown keys are rejected.  Each run writes fixed-schema CSV files and
+`manifest.txt`, the config file that replays it: the replay command and the
+run facts (versions, outputs, times, minor page faults, peak RSS) as comments.
 
 Every input is checked before any threshold is solved: an option's type
 holds its own rule, `_merge_config` the rules that span options.  Only three
 refusals wait for the solved threshold p_hat (`_density` and `_cmd_sweep`):
 - sweep: p_hat + eps/n in [0, 1] for at least one eps of the grid;
 - sprinkle: p_hat + eps/n <= 1;
-- triangle without --p: p_hat + eps/n in [0, 1].
+- triangle: p_hat + eps/n in [0, 1].
 The exit code follows the exception type: 0 success, 2 `UsageError` or a
 value argparse refuses, 4 a lemma-suite violation or any other exception.  A
 threshold solve always converges, since `--tol-p` is at least 2^-52.  A
@@ -138,7 +137,6 @@ OPTIONS: dict[str, list[Option]] = {
     ],
     "triangle": _COMMON + _SOLVER + _PC + [
         _N,
-        Option("p", _DENSITY, None, "density (overrides eps)"),
         Option("eps", _FINITE, 0.0, "eps = n(p - p_hat), the density's offset"),
         Option("replicates", _COUNT, 50, "replicates for the two-point profile"),
     ],
@@ -171,10 +169,6 @@ class Run:
     code: int = EXIT_OK
 
 
-def _key(name: str) -> str:
-    return name.replace("-", "_")
-
-
 @functools.cache
 def _keep_freed_arrays() -> None:
     """Have glibc keep freed arrays of up to 32 MiB for reuse, once per process.
@@ -203,10 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cubeperc", description="Bond percolation laboratory on the hypercube.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, options in OPTIONS.items():
-        sp = sub.add_parser(name)
+        # no abbreviations: a prefix such as `--p` would stand for `--pc`
+        sp = sub.add_parser(name, allow_abbrev=False)
         for opt in options:
-            sp.add_argument(f"--{opt.name}", dest=_key(opt.name), type=opt.typ,
-                            default=None, help=opt.help)
+            sp.add_argument(f"--{opt.name}", dest=opt.name, type=opt.typ, default=None,
+                            help=opt.help)
         # let values like `--eps -1e-05`, `-.5` or `-0.3,0,0.3` pass as option
         # values; no option name starts with a digit or a dot
         sp._negative_number_matcher = re.compile(r"^-\.?\d")
@@ -230,7 +225,7 @@ def _parse_config_file(path: str, options: list[Option]) -> dict[str, Any]:
         if key not in by_name:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[_key(key)] = by_name[key].typ(text)
+            values[key] = by_name[key].typ(text)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
@@ -238,45 +233,46 @@ def _parse_config_file(path: str, options: list[Option]) -> dict[str, Any]:
 
 def _merge_config(subcommand: str, flags: argparse.Namespace) -> dict[str, Any]:
     options = OPTIONS[subcommand]
-    merged = {_key(opt.name): opt.default for opt in options}
+    merged = {opt.name: opt.default for opt in options}
     if flags.config:
         merged.update(_parse_config_file(flags.config, options))
     for opt in options:
-        if getattr(flags, _key(opt.name)) is not None:
-            merged[_key(opt.name)] = getattr(flags, _key(opt.name))
-        if opt.required and merged[_key(opt.name)] is None:
+        if (value := getattr(flags, opt.name)) is not None:
+            merged[opt.name] = value
+        if opt.required and merged[opt.name] is None:
             raise UsageError(f"--{opt.name} is required for {subcommand}")
     # each option's own rule is on its type; these rules span options
     n, eps, lam = merged.get("n"), merged.get("eps"), merged.get("lambda")
-    if lam is not None and merged["replicates_cap"] < merged["replicates_start"]:
+    if lam is not None and merged["replicates-cap"] < merged["replicates-start"]:
         raise UsageError("--replicates-cap must be >= --replicates-start")
     if lam is not None and not 1.0 <= lam * 2.0 ** (n / 3.0) <= 2.0 ** n:
         raise UsageError(f"--lambda {lam} puts the target lambda 2^(n/3) outside [1, 2^{n}]")
     # p_hat + eps/n leaves [0, 1] for every p_hat once |eps| > n (a sweep skips such points)
-    if isinstance(eps, float) and merged.get("p") is None and abs(eps) > n:
-        raise UsageError(f"--eps {eps} lies outside [-{n}, {n}]: no threshold gives a density")
-    merged["subcommand"] = subcommand
+    if eps is not None and np.abs(eps).min() > n:
+        raise UsageError(f"--eps {reports.fmt(eps)} lies outside [-{n}, {n}]: "
+                         "no threshold gives a density")
     return merged
 
 
-def _manifest(cfg: dict[str, Any], started: float, outputs: list[str]) -> dict[str, Any]:
-    entries: dict[str, Any] = {"version": __version__, "numpy_version": np.__version__}
-    for key in sorted(cfg.keys() - {"config"}):
-        value = cfg[key]
-        entries[key] = ",".join(str(v) for v in value) if isinstance(value, tuple) else value
-    entries["outputs"] = ",".join(outputs)
-    entries["started_utc"] = datetime.now(timezone.utc).isoformat()
-    entries["wall_clock_seconds"] = time.perf_counter() - started
-    # process totals so far; ru_maxrss counts KiB (bytes on macOS)
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    entries["minor_page_faults"] = usage.ru_minflt
-    entries["peak_rss_mb"] = usage.ru_maxrss / (1 << (20 if sys.platform == "darwin" else 10))
-    return entries
+def _manifest(subcommand: str, cfg: dict[str, Any], out: Path, started: float,
+              outputs: Iterable[str]) -> list[str]:
+    # a config file: the replay command and run facts as comments, then the options set
+    usage = resource.getrusage(resource.RUSAGE_SELF)  # ru_maxrss counts KiB (bytes on macOS)
+    facts = {"version": __version__, "numpy_version": np.__version__, "subcommand": subcommand,
+             "outputs": tuple(outputs), "output_dir": out,
+             "started_utc": datetime.now(timezone.utc).isoformat(),
+             "wall_clock_seconds": time.perf_counter() - started,
+             "minor_page_faults": usage.ru_minflt,  # process totals so far
+             "peak_rss_mb": usage.ru_maxrss / (1 << (20 if sys.platform == "darwin" else 10))}
+    return ([f"# cubeperc {subcommand} --config {out / 'manifest.txt'} --out <new>"]
+            + [f"# {key} = {reports.fmt(value)}" for key, value in facts.items()]
+            + [f"{name} = {reports.fmt(value)}" for name, value in cfg.items()
+               if name != "config" and value is not None])
 
 
 def _solve(cfg: dict[str, Any]) -> PcResult:
-    schedule = ReplicateSchedule(initial=cfg["replicates_start"], cap=cfg["replicates_cap"])
-    return solve_pc(CubeDim(cfg["n"]), cfg["lambda"], cfg["tol_p"], schedule,
+    schedule = ReplicateSchedule(initial=cfg["replicates-start"], cap=cfg["replicates-cap"])
+    return solve_pc(CubeDim(cfg["n"]), cfg["lambda"], cfg["tol-p"], schedule,
                     master_seed=cfg["seed"])
 
 
@@ -288,7 +284,7 @@ def _density(p_hat: float, eps: float, n: int) -> float:
 
 
 def _p_hat(cfg: dict[str, Any]) -> float:
-    if cfg.get("pc") is not None:
+    if cfg["pc"] is not None:
         return float(cfg["pc"])
     print(f"solving threshold for n={cfg['n']} lambda={cfg['lambda']} ...", file=sys.stderr)
     return _solve(cfg).p_hat
@@ -338,7 +334,7 @@ def _cmd_sprinkle(cfg: dict[str, Any]) -> Run:
 
 
 def _cmd_triangle(cfg: dict[str, Any]) -> Run:
-    p = cfg["p"] if cfg["p"] is not None else _density(_p_hat(cfg), cfg["eps"], cfg["n"])
+    p = _density(_p_hat(cfg), cfg["eps"], cfg["n"])
     dim = CubeDim(cfg["n"])
     (st,) = replicate_stats(dim, (p,), cfg["seed"], range(cfg["replicates"]), census=True)
     profile = two_point_profile(dim, st.census)
@@ -368,10 +364,10 @@ def _cmd_oracle(cfg: dict[str, Any]) -> Run:
 
 def _cmd_lemma_check(cfg: dict[str, Any]) -> Run:
     results = []
-    for runner, count_key in ((run_harper_suite, "harper_instances"),
-                              (run_overlap_suite, "overlap_instances"),
-                              (run_paths_suite, "paths_instances")):
-        results.append(runner(cfg["n_max"], cfg[count_key], seed=cfg["seed"]))
+    for runner, count_key in ((run_harper_suite, "harper-instances"),
+                              (run_overlap_suite, "overlap-instances"),
+                              (run_paths_suite, "paths-instances")):
+        results.append(runner(cfg["n-max"], cfg[count_key], seed=cfg["seed"]))
         print(f"{results[-1].name}: {results[-1].instances} instances, "
               f"{results[-1].violations} violations", file=sys.stderr)
     results.append(run_tail_suite())
@@ -406,7 +402,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
         out = Path(cfg["out"] or f"runs/{flags.subcommand}")
         for name, (header, rows) in run.tables.items():
             reports.write_csv(out / name, header, rows)
-        reports.write_manifest(out / "manifest.txt", _manifest(cfg, started, list(run.tables)))
+        manifest = _manifest(flags.subcommand, cfg, out, started, run.tables)
+        reports.write_manifest(out / "manifest.txt", manifest)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -125,11 +125,15 @@ def tail_sum_exact(dim: CubeDim, delta: float) -> int:
     return sum(math.comb(dim.n, i) for i in range(math.ceil((dim.n + delta) / 2), dim.n + 1))
 
 
+def _chernoff(dim: CubeDim, delta: float) -> float:  # exp(-delta^2 / 2n)
+    return math.exp(-(delta * delta) / (2.0 * dim.n))
+
+
 def large_deviation_bound(dim: CubeDim, delta: float) -> float:
     """Upper bound 2^n * exp(-delta^2 / 2n) on the binomial tail above."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    return float(1 << dim.n) * math.exp(-(delta * delta) / (2.0 * dim.n))
+    return float(1 << dim.n) * _chernoff(dim, delta)
 
 
 def min_overlap_delta(dim: CubeDim, eps: float) -> int:
@@ -142,7 +146,7 @@ def min_overlap_delta(dim: CubeDim, eps: float) -> int:
         raise ValueError("eps must lie in (0, 1]")
     target = eps / 2.0
     delta = 0
-    while not math.exp(-(delta * delta) / (2.0 * dim.n)) < target:
+    while not _chernoff(dim, delta) < target:
         delta += 1
     return delta
 
@@ -175,11 +179,11 @@ def _bfs_forest(dim: CubeDim, sources: np.ndarray, max_depth: int) -> np.ndarray
 def disjoint_short_paths(dim: CubeDim, s: np.ndarray, t: np.ndarray, delta: int) -> PathList:
     """Vertex-disjoint paths of length <= delta from members of t back into s.
 
-    Construction: restrict t to the ball of radius delta around s, thin the
-    restriction to a maximal subset with pairwise distance > 2*delta (greedy
-    scan in ascending vertex order), then walk each kept vertex back into s
-    along one breadth-first forest grown from s.  The achieved path count is
-    reported as-is.
+    Construction: grow one breadth-first forest of depth delta from s, which
+    reaches exactly the ball of radius delta around s; restrict t to it, thin
+    the restriction to a maximal subset with pairwise distance > 2*delta
+    (greedy scan in ascending vertex order), then walk each kept vertex back
+    into s along the forest.  The achieved path count is reported as-is.
     """
     _check_set(dim, s)
     _check_set(dim, t)
@@ -188,7 +192,8 @@ def disjoint_short_paths(dim: CubeDim, s: np.ndarray, t: np.ndarray, delta: int)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
 
-    candidates = hamming_ball(dim, s, delta) & t
+    pred = _bfs_forest(dim, np.flatnonzero(s), delta)
+    candidates = (pred >= 0) & t
     all_v = np.arange(dim.volume, dtype=np.int64)
     kept = []
     while candidates.any():
@@ -196,10 +201,8 @@ def disjoint_short_paths(dim: CubeDim, s: np.ndarray, t: np.ndarray, delta: int)
         kept.append(v)
         candidates &= np.bitwise_count(all_v ^ v) > 2 * delta
 
-    # Every kept vertex lies within delta of s, so the forest reaches it; each
-    # path stays within delta of its own head, and heads are more than 2*delta
-    # apart, so no two paths meet.
-    pred = _bfs_forest(dim, np.flatnonzero(s), delta)
+    # Each path stays within delta of its own head, and heads are more than
+    # 2*delta apart, so no two paths meet.
     paths = []
     for v in kept:
         path = [v]

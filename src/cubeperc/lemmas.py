@@ -147,7 +147,7 @@ def _paths_problem(dim: CubeDim, s: np.ndarray, t: np.ndarray, delta: int, eps: 
         return str(exc)
     if any(not t[path[0]] or not s[path[-1]] for path in paths):
         return "path endpoints not in the required sets"
-    if math.exp(-(delta * delta) / (2.0 * dim.n)) < eps / 2.0:
+    if delta >= min_overlap_delta(dim, eps):
         guaranteed = 0.5 * eps * dim.volume * float(dim.n) ** (-2 * delta)
         if len(paths) < guaranteed:
             return f"count {len(paths)} below guarantee {guaranteed:.3f}"

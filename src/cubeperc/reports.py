@@ -2,14 +2,14 @@
 
 Floats are written with repr (shortest round-trip form), '.' decimal
 separator, no grouping; column orders are fixed.  Timestamps never appear
-in CSV bodies, only in the run manifest.
+in CSV bodies, only in the comments of the run manifest, a config file.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from .critical import PcResult
 from .experiments import RegimeSummary, SprinkleReport, SweepRecord
@@ -32,13 +32,15 @@ __all__ = [
 
 
 def fmt(value: Any) -> str:
-    """Canonical cell text: empty for None, repr for floats, str otherwise."""
+    """Cell text: empty for None, true/false, repr for floats, tuples comma-joined, else str."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(map(fmt, value))
     return str(value)
 
 
@@ -52,12 +54,9 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[A
             writer.writerow([fmt(cell) for cell in row])
 
 
-def write_manifest(path: Path | str, entries: Mapping[str, Any]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key} = {fmt(value)}\n")
+def write_manifest(path: Path | str, lines: Iterable[str]) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("".join(f"{line}\n" for line in lines))
 
 
 PC_RESULT_HEADER = ["n", "lambda", "p_hat", "ci_half_width", "replicates_used",

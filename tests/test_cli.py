@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubeperc
-from cubeperc import cli, lemmas
+from cubeperc import cli, lemmas, reports
 from cubeperc.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -125,17 +125,17 @@ def test_oversized_n_max_is_refused_before_any_suite(tmp_path, capsys):
 
 def test_largest_n_passes_the_cap(tmp_path, capsys):
     # n = MAX_N gets past the cap and fails on the density, still before sampling
-    code = parse_and_dispatch(["triangle", "--n", str(MAX_N), "--p", "2.0",
+    code = parse_and_dispatch(["triangle", "--n", str(MAX_N), "--pc", "2.0",
                                "--out", str(tmp_path / "tri")])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "--p: expected a density in [0, 1], got '2.0'" in err
+    assert "--pc: expected a density in [0, 1], got '2.0'" in err
     assert "--n:" not in err
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    (["triangle", "--n", "6", "--p", "2"], EXIT_USAGE,
-     "--p: expected a density in [0, 1], got '2'"),
+    (["triangle", "--n", "6", "--pc", "2"], EXIT_USAGE,
+     "--pc: expected a density in [0, 1], got '2'"),
     (["oracle", "--n", "2", "--p", "2"], EXIT_USAGE, "--p: expected a density in [0, 1]"),
     (["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1", "--pc", "0.12"], EXIT_USAGE,
      "p_hat = 0.12 and eps = 8.0 put p_hat + eps/n = 1.12 outside [0, 1]"),
@@ -410,7 +410,8 @@ def test_sweep_refuses_an_empty_grid(tmp_path, capsys):
 def test_sweep_refuses_a_grid_with_no_density_in_range(tmp_path, capsys):
     # every row would be skipped, so the run would measure nothing
     out = tmp_path / "outside"
-    code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "100,200", "--pc", "0.2",
+    # each eps lies in [-6, 6], so only the solved threshold rules the grid out
+    code = parse_and_dispatch(["sweep", "--n", "6", "--eps", "5,6", "--pc", "0.2",
                                "--replicates", "2", "--out", str(out)])
     assert code == EXIT_USAGE
     assert not out.exists()
@@ -451,10 +452,12 @@ def test_counts_below_one_are_refused_before_solving(tmp_path, capsys, monkeypat
      "--alpha: expected a number in (0, 1)"),
     (["sprinkle", "--n", "10", "--eps", "50"], "--eps 50.0 lies outside [-10, 10]"),
     (["triangle", "--n", "8", "--eps", "100"], "--eps 100.0 lies outside [-8, 8]"),
+    (["sweep", "--n", "6", "--eps", "100,-200"], "--eps 100.0,-200.0 lies outside [-6, 6]"),
     (["sweep", "--n", "8", "--eps", "0.1,nan"], "--eps: expected a comma-separated epsilon grid"),
     (["sweep", "--n", "8", "--eps", "inf"], "--eps: expected a comma-separated epsilon grid"),
 ], ids=["sprinkle-eps", "sprinkle-eps0", "sprinkle-eps-nan", "sprinkle-alpha",
-        "sprinkle-alpha0", "sprinkle-eps-above-n", "triangle-eps-above-n", "sweep-grid-nan",
+        "sprinkle-alpha0", "sprinkle-eps-above-n", "triangle-eps-above-n",
+        "sweep-grid-above-n", "sweep-grid-nan",
         "sweep-grid-inf"])
 def test_eps_and_alpha_are_refused_before_solving(tmp_path, capsys, monkeypatch, argv, message):
     def no_solve(*args, **kwargs):
@@ -475,10 +478,10 @@ class _Solved(Exception):
     (["--eps=nan"], "--eps: expected a finite number, got 'nan'"),
     (["--eps=inf"], "--eps: expected a finite number, got 'inf'"),
     (["--eps=-inf"], "--eps: expected a finite number, got '-inf'"),
-    (["--p=nan"], "--p: expected a density in [0, 1], got 'nan'"),
-    (["--p=inf"], "--p: expected a density in [0, 1], got 'inf'"),
-    (["--p=-inf"], "--p: expected a density in [0, 1], got '-inf'"),
-], ids=["eps-nan", "eps-inf", "eps-neg-inf", "p-nan", "p-inf", "p-neg-inf"])
+    (["--pc=nan"], "--pc: expected a density in [0, 1], got 'nan'"),
+    (["--pc=inf"], "--pc: expected a density in [0, 1], got 'inf'"),
+    (["--pc=-inf"], "--pc: expected a density in [0, 1], got '-inf'"),
+], ids=["eps-nan", "eps-inf", "eps-neg-inf", "pc-nan", "pc-inf", "pc-neg-inf"])
 def test_triangle_refuses_a_non_finite_density_before_solving(tmp_path, capsys, monkeypatch,
                                                                argv, message):
     def solve(*args, **kwargs):
@@ -515,9 +518,14 @@ def test_bisection_budget_and_too_fine_tolerance_are_refused_before_solving(
     assert not out.exists()
 
 
-def test_triangle_command(tmp_path):
+def test_triangle_command(tmp_path, capsys):
     out = tmp_path / "tri"
-    code = parse_and_dispatch(["triangle", "--n", "6", "--p", "0.15",
+    # --p is gone: the density is --pc plus the default --eps 0, and no
+    # option is reached by a prefix
+    assert parse_and_dispatch(["triangle", "--n", "6", "--p", "0.15",
+                               "--out", str(out)]) == EXIT_USAGE
+    assert "unrecognized arguments: --p 0.15" in capsys.readouterr().err
+    code = parse_and_dispatch(["triangle", "--n", "6", "--pc", "0.15",
                                "--replicates", "10", "--out", str(out)])
     assert code == EXIT_OK
     profile = _read_csv(out / "two_point.csv")
@@ -675,15 +683,71 @@ def test_manifest_records_config(tmp_path):
     out = tmp_path / "oracle"
     parse_and_dispatch(["oracle", "--n", "1", "--p", "0.25", "--replicates", "50",
                         "--out", str(out)])
-    manifest = (out / "manifest.txt").read_text()
-    assert "subcommand = oracle" in manifest
-    assert "p = 0.25" in manifest
-    assert "version = " in manifest
-    assert "numpy_version = " in manifest
-    assert "wall_clock_seconds = " in manifest
-    entries = dict(line.split(" = ", 1) for line in manifest.splitlines())
-    assert int(entries["minor_page_faults"]) > 0
-    assert float(entries["peak_rss_mb"]) > 0.0
+    replay, *lines = (out / "manifest.txt").read_text().splitlines()
+    assert replay == f"# cubeperc oracle --config {out / 'manifest.txt'} --out <new>"
+    facts = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+    assert list(facts) == ["version", "numpy_version", "subcommand", "outputs", "output_dir",
+                           "started_utc", "wall_clock_seconds", "minor_page_faults",
+                           "peak_rss_mb"]
+    assert facts["version"] == cubeperc.__version__
+    assert facts["subcommand"] == "oracle" and facts["outputs"] == "oracle.csv"
+    assert facts["output_dir"] == str(out)
+    assert float(facts["wall_clock_seconds"]) > 0.0
+    assert int(facts["minor_page_faults"]) > 0
+    assert float(facts["peak_rss_mb"]) > 0.0
+    # the options follow the comments, by their long names; --config is not one of them
+    assert [line for line in lines if not line.startswith("# ")] == [
+        f"out = {out}", "seed = 1", "n = 1", "p = 0.25", "replicates = 50"]
+
+
+_REPLAYED = {
+    "pc-solve": ["pc-solve", "--n", "6", "--lambda", "0.8", "--seed", "3"],
+    "pc-solve-tol": ["pc-solve", "--n", "6", "--tol-p", "0.01", "--replicates-cap", "256"],
+    "sweep-triangle": ["sweep", "--n", "6", "--eps", "-0.3,0,0.3", "--replicates", "4",
+                       "--pc", "0.2", "--seed", "5", "--triangle", "true"],
+    "sweep-config": ["sweep", "--config", "n = 6\neps = -0.3,0,0.3\nreplicates = 4\npc = 0.2",
+                     "--eps", "0.1,-1e-05"],
+    "sprinkle": ["sprinkle", "--n", "6", "--eps", "0.5", "--seeds", "3", "--pc", "0.2"],
+    "triangle": ["triangle", "--n", "6", "--replicates", "4", "--seed", "2"],
+    "oracle": ["oracle", "--n", "2", "--p", "0.3", "--replicates", "20"],
+    "lemma-check": ["lemma-check", "--n-max", "4", "--harper-instances", "20",
+                    "--overlap-instances", "5", "--paths-instances", "5", "--seed", "9"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPLAYED))
+def test_every_run_directory_replays_itself(tmp_path, capsys, case):
+    argv = list(_REPLAYED[case])
+    if "--config" in argv:  # a config file and a flag that overrides it
+        config = tmp_path / "run.cfg"
+        config.write_text(argv[argv.index("--config") + 1] + "\n")
+        argv[argv.index("--config") + 1] = str(config)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert parse_and_dispatch(argv + ["--out", str(first)]) == EXIT_OK
+    manifest = first / "manifest.txt"
+    replay = manifest.read_text().splitlines()[0].split()
+    assert replay[:5] == ["#", "cubeperc", argv[0], "--config", str(manifest)]
+    assert parse_and_dispatch(replay[2:5] + ["--out", str(again)]) == EXIT_OK
+    tables = sorted(path.name for path in first.glob("*.csv"))
+    assert tables and tables == sorted(path.name for path in again.glob("*.csv"))
+    for name in tables:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@settings(deadline=None, max_examples=500)
+@given(drawn=_drawn_options())
+def test_manifest_round_trips_the_configuration(tmp_path_factory, drawn):
+    subcommand, options = drawn
+    try:
+        flags = cli._build_parser().parse_args(
+            [subcommand, *(f"--{name}={value}" for name, value in options)])
+        cfg = cli._merge_config(subcommand, flags)
+    except (SystemExit, cli.UsageError):
+        return  # a refused input writes no manifest
+    path = tmp_path_factory.getbasetemp() / "manifest.txt"
+    reports.write_manifest(path, cli._manifest(subcommand, cfg, path.parent, 0.0, []))
+    assert _parse_config_file(str(path), OPTIONS[subcommand]) == {
+        name: value for name, value in cfg.items() if value is not None and name != "config"}
 
 
 def test_reused_parser_keeps_no_values(tmp_path, capsys):

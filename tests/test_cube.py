@@ -260,6 +260,19 @@ def test_bfs_forest_matches_reference(n, seed):
         assert _bfs_forest(dim, sources, depth).tolist() == bfs_forest(n, sources.tolist(), depth)
 
 
+@given(n=st.integers(1, 8), seed=st.integers(0, 10**6), data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_bfs_forest_reaches_exactly_the_ball(n, seed, data):
+    # disjoint_short_paths takes its candidates from the forest instead of hamming_ball
+    dim = CubeDim(n)
+    rng = np.random.default_rng(seed)
+    x = rng.random(dim.volume) < data.draw(st.floats(0.0, 1.0))
+    x[int(rng.integers(0, dim.volume))] = True
+    for depth in range(n + 2):
+        assert ((_bfs_forest(dim, np.flatnonzero(x), depth) >= 0)
+                == hamming_ball(dim, x, depth)).all()
+
+
 def test_paths_suite_counts_pathlist_rejections(monkeypatch):
     # length, adjacency and disjointness are checked only by the PathList constructor
     monkeypatch.setattr(lemmas, "disjoint_short_paths",
