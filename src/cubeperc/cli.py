@@ -8,11 +8,11 @@ unknown keys are rejected.  Each run writes fixed-schema CSV files and
 run facts (versions, outputs, times, minor page faults, peak RSS) as comments.
 
 Every input is checked before any threshold is solved: an option's type
-holds its own rule, `_merge_config` the rules that span options.  Only three
-refusals wait for the solved threshold p_hat (`_density` and `_cmd_sweep`):
-- sweep: p_hat + eps/n in [0, 1] for at least one eps of the grid;
-- sprinkle: p_hat + eps/n <= 1;
-- triangle: p_hat + eps/n in [0, 1].
+holds its own rule, `_merge_config` the rules that span options.  One refusal
+waits for the pinned or solved threshold p_hat (`_p_hat`): p_hat + eps/n must
+lie in [0, 1] for at least one eps of the run, any sweep grid point or the
+one sprinkle or triangle eps.  `--out` holds no `#`, which would start a
+comment in the manifest that replays the run.
 The exit code follows the exception type: 0 success, 2 `UsageError` or a
 value argparse refuses, 4 a lemma-suite violation or any other exception.  A
 threshold solve always converges, since `--tol-p` is at least 2^-52.  A
@@ -105,7 +105,8 @@ _GRID = _checked(lambda text: tuple(float(tok) for tok in text.split(",") if tok
 _BOOL = _checked({"true": True, "false": False}.__getitem__, "true or false", lambda v: True)
 
 _COMMON = [
-    Option("out", str, None, "output directory (default runs/<subcommand>)"),
+    Option("out", _checked(str, "a path without '#'", lambda v: "#" not in v), None,
+           "output directory (default runs/<subcommand>)"),
     Option("seed", _int_in(0), 1, "master seed"),
     Option("config", str, None, "flat key = value config file"),
 ]
@@ -276,18 +277,17 @@ def _solve(cfg: dict[str, Any]) -> PcResult:
                     master_seed=cfg["seed"])
 
 
-def _density(p_hat: float, eps: float, n: int) -> float:
-    """p_hat + eps/n, refused when the solved threshold puts it outside [0, 1]."""
-    if not 0.0 <= (p := p_hat + eps / n) <= 1.0:
-        raise UsageError(f"p_hat = {p_hat} and eps = {eps} put p_hat + eps/n = {p} outside [0, 1]")
-    return p
-
-
-def _p_hat(cfg: dict[str, Any]) -> float:
+def _p_hat(cfg: dict[str, Any], grid: Sequence[float]) -> float:
+    """The pinned or solved threshold, refused unless some eps of `grid` gives a density."""
     if cfg["pc"] is not None:
-        return float(cfg["pc"])
-    print(f"solving threshold for n={cfg['n']} lambda={cfg['lambda']} ...", file=sys.stderr)
-    return _solve(cfg).p_hat
+        p_hat = float(cfg["pc"])
+    else:
+        print(f"solving threshold for n={cfg['n']} lambda={cfg['lambda']} ...", file=sys.stderr)
+        p_hat = _solve(cfg).p_hat
+    # run_sweep's own test of each grid point; a run with no density in range measures nothing
+    if not any(0.0 <= p_hat + eps / cfg["n"] <= 1.0 for eps in grid):
+        raise UsageError(f"p_hat = {p_hat} puts p_hat + eps/n outside [0, 1] for every eps")
+    return p_hat
 
 
 def _cmd_pc_solve(cfg: dict[str, Any]) -> Run:
@@ -305,11 +305,7 @@ def _cmd_sweep(cfg: dict[str, Any]) -> Run:
     sweep_cfg = SweepConfig(n=cfg["n"], alpha=cfg["alpha"], epsilon_grid=cfg["eps"],
                             replicates=cfg["replicates"], master_seed=cfg["seed"],
                             observables=ObservableFlags(triangle=cfg["triangle"]))
-    p_hat = _p_hat(cfg)
-    # run_sweep's own test of each grid point; a grid of skipped rows measured nothing
-    if not any(0.0 <= p_hat + eps / cfg["n"] <= 1.0 for eps in cfg["eps"]):
-        raise UsageError(f"p_hat = {p_hat} puts p_hat + eps/n outside [0, 1] for every eps")
-    records = run_sweep(sweep_cfg, p_hat)
+    records = run_sweep(sweep_cfg, _p_hat(cfg, cfg["eps"]))
     summary = regime_summary(records)
     tables = {"sweep.csv": (reports.SWEEP_HEADER, reports.sweep_rows(records)),
               "regime_summary.csv": (reports.SUMMARY_HEADER, reports.summary_rows(summary))}
@@ -320,8 +316,7 @@ def _cmd_sweep(cfg: dict[str, Any]) -> Run:
 
 
 def _cmd_sprinkle(cfg: dict[str, Any]) -> Run:
-    p_hat = _p_hat(cfg)
-    _density(p_hat, cfg["eps"], cfg["n"])
+    p_hat = _p_hat(cfg, (cfg["eps"],))
     runs = []
     for r in range(cfg["seeds"]):
         runs.append(sprinkling_experiment(cfg["n"], cfg["eps"], cfg["alpha"],
@@ -334,7 +329,7 @@ def _cmd_sprinkle(cfg: dict[str, Any]) -> Run:
 
 
 def _cmd_triangle(cfg: dict[str, Any]) -> Run:
-    p = _density(_p_hat(cfg), cfg["eps"], cfg["n"])
+    p = _p_hat(cfg, (cfg["eps"],)) + cfg["eps"] / cfg["n"]
     dim = CubeDim(cfg["n"])
     (st,) = replicate_stats(dim, (p,), cfg["seed"], range(cfg["replicates"]), census=True)
     profile = two_point_profile(dim, st.census)

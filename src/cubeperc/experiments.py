@@ -74,23 +74,23 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Measured observables for one grid density, with regime reference scales."""
+    """Measured observables for one grid density (None on a skipped row), with regime scales."""
 
     epsilon: float
     Lambda: float
     p: float
     regime: str
     skipped: bool
-    chi: Estimate | None
-    cmax_mean: float | None
-    cmax_median: float | None
-    c2_mean: float | None
-    theta: Estimate | None
-    z_geq: Estimate | None
-    n_alpha_cut: float | None
     ref_below: float
     ref_inside: float
     ref_above: float
+    chi: Estimate | None = None
+    cmax_mean: float | None = None
+    cmax_median: float | None = None
+    c2_mean: float | None = None
+    theta: Estimate | None = None
+    z_geq: Estimate | None = None
+    n_alpha_cut: float | None = None
     triangle: TriangleReport | None = None
 
 
@@ -171,12 +171,10 @@ def run_sweep(cfg: SweepConfig, p_hat: float) -> list[SweepRecord]:
     records: list[SweepRecord] = []
     for i, (eps, p) in enumerate(zip(cfg.epsilon_grid, ps)):
         coord = window_coord(p, cfg.n, p_hat)
-        ref_below, ref_inside, ref_above = _references(cfg.n, eps)
+        refs = _references(cfg.n, eps)  # ref_below, ref_inside, ref_above
         st = measured.get(i)
         if st is None:
-            records.append(SweepRecord(eps, coord.Lambda, p, coord.regime, True, None,
-                                       None, None, None, None, None, None,
-                                       ref_below, ref_inside, ref_above))
+            records.append(SweepRecord(eps, coord.Lambda, p, coord.regime, True, *refs))
             continue
 
         triangle = None
@@ -185,11 +183,7 @@ def run_sweep(cfg: SweepConfig, p_hat: float) -> list[SweepRecord]:
                                             float(np.mean(st.chi)), p=p)
 
         records.append(SweepRecord(
-            epsilon=eps,
-            Lambda=coord.Lambda,
-            p=p,
-            regime=coord.regime,
-            skipped=False,
+            eps, coord.Lambda, p, coord.regime, False, *refs,
             chi=Estimate.from_samples(st.chi),
             cmax_mean=float(np.mean(st.cmax)),
             cmax_median=float(np.median(st.cmax)),
@@ -197,9 +191,6 @@ def run_sweep(cfg: SweepConfig, p_hat: float) -> list[SweepRecord]:
             theta=Estimate.from_samples(st.z_geq / dim.volume) if st.z_geq is not None else None,
             z_geq=Estimate.from_samples(st.z_geq) if st.z_geq is not None else None,
             n_alpha_cut=cuts.get(i),
-            ref_below=ref_below,
-            ref_inside=ref_inside,
-            ref_above=ref_above,
             triangle=triangle,
         ))
     return records
@@ -217,9 +208,7 @@ def sprinkling_experiment(n: int, eps: float, alpha: float, seed: SeedSpec,
         raise ValueError("alpha must lie in (0, 1)")
     dim = CubeDim(n)
     p = p_hat + eps / n
-    if p > 1.0:
-        raise ValueError(f"eps pushes p = p_hat + eps/n = {p} above 1")
-    p_minus = sprinkle_split(n, p, eps)  # checks eps > 0 and p >= eps/(2n)
+    p_minus = sprinkle_split(n, p, eps)  # checks eps > 0 and eps/(2n) <= p <= 1
 
     base = sample_subgraph(dim, p_minus, seed)
     sprinkle_seed = SeedSpec(seed.master_seed ^ SPRINKLE_SALT, seed.replicate_index)

@@ -6,13 +6,16 @@ through a sequential union-find, convolution through the raw
 vertex double sum, the pair census through every vertex pair of the BFS
 labels, and the small-cube enumeration through the BFS labeler, which
 reads the occupied edges one direction at a time.  The float uniforms are
-the oracle for the sampler's integer threshold test.
+the oracle for the sampler's integer threshold test.  Where no oracle is fast
+enough (n = 17-22), a cube automorphism maps a configuration to an
+isomorphic one, whose observables must agree with the original's.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -34,6 +37,25 @@ def edge_endpoints(graph: OccupiedGraph, direction: int) -> tuple[np.ndarray, np
     idx = np.flatnonzero(graph.planes[d])
     u = ((idx >> d) << (d + 1)) | (idx & ((1 << d) - 1))  # insert a zero bit at d
     return u, u | (1 << d)
+
+
+def automorphism_image(graph: OccupiedGraph, perm: Sequence[int], shift: int) -> OccupiedGraph:
+    """sigma(G) for the automorphism sigma(x) = pi(x) XOR shift of Q_n.
+
+    pi moves bit d of x to bit perm[d], so the edge of direction d at lower
+    endpoint u maps to the edge of direction perm[d] whose lower endpoint is
+    sigma(u) with that bit cleared; built by index arithmetic on the planes.
+    """
+    x = np.arange(graph.dim.volume, dtype=np.int64)
+    image = np.zeros_like(x)
+    for d, e in enumerate(perm):
+        image |= (x >> d & 1) << e
+    image ^= shift
+    planes = np.zeros_like(graph.planes)
+    for d, e in enumerate(perm):
+        lo = image[edge_endpoints(graph, d)[0]] & ~(1 << e)
+        planes[e, ((lo >> (e + 1)) << e) | (lo & ((1 << e) - 1))] = True  # drop bit e
+    return OccupiedGraph(graph.dim, planes)
 
 
 def union_graphs(a: OccupiedGraph, b: OccupiedGraph) -> OccupiedGraph:
@@ -151,8 +173,12 @@ def direct_radial_convolution(n: int, t1: np.ndarray, t2: np.ndarray) -> np.ndar
     return out
 
 
-def enumerate_observables(n: int, p: float) -> tuple[float, float, np.ndarray]:
-    """Exact (chi, E|Cmax|, pmf of |C(0)|) for tiny cubes by BFS over every edge subset."""
+def enumerate_observables(n: int, p: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Exact (chi, E|Cmax|, pmf of |C(0)|, tau) for tiny cubes by BFS over every edge subset.
+
+    tau(k), the two-point function, is the weighted count of same-cluster
+    ordered vertex pairs at distance k over the 2^n C(n, k) pairs there.
+    """
     dim = CubeDim(n)
     v_count = dim.volume
     edges = []
@@ -163,26 +189,27 @@ def enumerate_observables(n: int, p: float) -> tuple[float, float, np.ndarray]:
     m = len(edges)
     chi_terms, cmax_terms = [], []
     pmf_terms: list[list[float]] = [[] for _ in range(v_count + 1)]
+    tau_terms: list[list[float]] = [[] for _ in range(n + 1)]
     for mask in range(1 << m):
         adjacency: list[list[int]] = [[] for _ in range(v_count)]
         for i, (u, v) in enumerate(edges):
             if mask >> i & 1:
                 adjacency[u].append(v)
                 adjacency[v].append(u)
-        seen = [False] * v_count
+        label = [-1] * v_count
         sizes = []
         for start in range(v_count):
-            if seen[start]:
+            if label[start] != -1:
                 continue
-            seen[start] = True
+            label[start] = start
             queue = deque([start])
             size = 0
             while queue:
                 v = queue.popleft()
                 size += 1
                 for w in adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if label[w] == -1:
+                        label[w] = start
                         queue.append(w)
             sizes.append(size)
         k = mask.bit_count()
@@ -190,5 +217,14 @@ def enumerate_observables(n: int, p: float) -> tuple[float, float, np.ndarray]:
         chi_terms.append(weight * sum(s * s for s in sizes) / v_count)
         cmax_terms.append(weight * max(sizes))
         pmf_terms[sizes[0]].append(weight)  # BFS from vertex 0 comes first
+        pairs = [0] * (n + 1)
+        for x in range(v_count):
+            for y in range(v_count):
+                if label[x] == label[y]:
+                    pairs[(x ^ y).bit_count()] += 1
+        for k, count in enumerate(pairs):
+            tau_terms[k].append(weight * count)
     pmf = np.array([math.fsum(terms) for terms in pmf_terms])
-    return math.fsum(chi_terms), math.fsum(cmax_terms), pmf
+    tau = np.array([math.fsum(terms) / (v_count * math.comb(n, k))
+                    for k, terms in enumerate(tau_terms)])
+    return math.fsum(chi_terms), math.fsum(cmax_terms), pmf, tau

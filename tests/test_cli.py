@@ -138,7 +138,7 @@ def test_largest_n_passes_the_cap(tmp_path, capsys):
      "--pc: expected a density in [0, 1], got '2'"),
     (["oracle", "--n", "2", "--p", "2"], EXIT_USAGE, "--p: expected a density in [0, 1]"),
     (["sprinkle", "--n", "8", "--eps", "8", "--seeds", "1", "--pc", "0.12"], EXIT_USAGE,
-     "p_hat = 0.12 and eps = 8.0 put p_hat + eps/n = 1.12 outside [0, 1]"),
+     "p_hat = 0.12 puts p_hat + eps/n outside [0, 1] for every eps"),
     (["pc-solve", "--n", "6", "--lambda", "-1"], EXIT_USAGE,
      "--lambda: expected a number > 0, got '-1'"),
     (["pc-solve", "--n", "4", "--lambda", "nan", "--replicates-cap", "64"], EXIT_USAGE,
@@ -656,11 +656,10 @@ def test_every_drawn_input_is_refused_before_solving_or_runs(tmp_path_factory, d
         except _Reached:
             return
     assert code == EXIT_USAGE, err.getvalue()
-    if solved:  # only a refusal that depends on p_hat waits
+    if solved:  # only the refusal that depends on p_hat waits
         assert subcommand in ("sweep", "sprinkle", "triangle")
-        refusal = (r"puts p_hat \+ eps/n outside \[0, 1\] for every eps" if subcommand == "sweep"
-                   else r"and eps = \S+ put p_hat \+ eps/n = \S+ outside \[0, 1\]")
-        assert re.search(rf"error: p_hat = \S+ {refusal}\n$", err.getvalue()), err.getvalue()
+        refusal = r"error: p_hat = \S+ puts p_hat \+ eps/n outside \[0, 1\] for every eps\n$"
+        assert re.search(refusal, err.getvalue()), err.getvalue()
     assert not (base / "drawn").exists()
 
 
@@ -748,6 +747,20 @@ def test_manifest_round_trips_the_configuration(tmp_path_factory, drawn):
     reports.write_manifest(path, cli._manifest(subcommand, cfg, path.parent, 0.0, []))
     assert _parse_config_file(str(path), OPTIONS[subcommand]) == {
         name: value for name, value in cfg.items() if value is not None and name != "config"}
+
+
+def test_out_with_a_hash_is_refused_and_a_config_comment_still_ends_the_value(tmp_path, capsys):
+    # `#` starts a comment, so a manifest holding `out = .../h#x` would replay into .../h
+    argv = ["oracle", "--n", "1", "--p", "0.3", "--replicates", "5"]
+    out = tmp_path / "h#x"
+    assert parse_and_dispatch(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert f"--out: expected a path without '#', got '{out}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    config = tmp_path / "run.cfg"
+    config.write_text(f"out = {tmp_path / 'h'}  # note\n")
+    assert _parse_config_file(str(config), OPTIONS["oracle"]) == {"out": str(tmp_path / "h")}
+    assert parse_and_dispatch(argv + ["--config", str(config)]) == EXIT_OK
+    assert (tmp_path / "h" / "oracle.csv").is_file()
 
 
 def test_reused_parser_keeps_no_values(tmp_path, capsys):

@@ -38,7 +38,7 @@ def test_exact_enumerate_small_cases():
     for n in (2, 3):
         for p in (0.1, 0.7):
             oracle = exact_enumerate(n, p)
-            chi, e_cmax, pmf = enumerate_observables(n, p)
+            chi, e_cmax, pmf, _ = enumerate_observables(n, p)
             assert oracle.chi_exact == pytest.approx(chi, abs=1e-12)
             assert oracle.e_cmax_exact == pytest.approx(e_cmax, abs=1e-12)
             assert oracle.cluster_size_pmf == pytest.approx(pmf, abs=1e-12)
@@ -174,7 +174,7 @@ def test_sprinkling_validation():
     with pytest.raises(ValueError):
         sprinkling_experiment(8, 0.5, 1.5, SeedSpec(0), p_hat)
     # p = p_hat + eps/n above 1 is rejected, not clamped; p = 1 itself is allowed
-    with pytest.raises(ValueError, match="above 1"):
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
         sprinkling_experiment(8, 7.5, 0.5, SeedSpec(0), 0.1)
     assert sprinkling_experiment(4, 2.0, 0.5, SeedSpec(0), 0.5).p == 1.0
 

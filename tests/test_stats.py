@@ -25,6 +25,7 @@ from cubeperc.stats import (
 )
 
 from _reference import (
+    automorphism_image,
     direct_radial_convolution,
     enumerate_observables,
     gray_path,
@@ -128,7 +129,7 @@ def test_chi_against_enumeration_oracle():
     # frozen oracle values; 2.5625 at (n=2, p=0.5) checked by hand
     for n in (2, 3):
         for p in (0.1, 0.3, 0.5, 0.7):
-            exact, _, _ = enumerate_observables(n, p)
+            exact, *_ = enumerate_observables(n, p)
             if (n, p) == (2, 0.5):
                 assert exact == 2.5625
             est = _chi(n, p, 800, master=5)
@@ -204,6 +205,37 @@ def test_two_point_trivials():
     assert ((0.0 <= mid.values) & (mid.values <= 1.0)).all()
     with pytest.raises(ValueError):
         two_point_profile(dim, np.zeros((0, 7), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n, ps", [(2, (0.5,)), (3, (0.2, 0.3))])
+def test_two_point_profile_against_enumeration(n, ps):
+    # tau(k) exact from every configuration; its radial sum is chi
+    dim, replicates = CubeDim(n), 2500
+    measured = replicate_stats(dim, ps, 2026, range(replicates), census=True)
+    for p, st in zip(ps, measured):
+        chi, _, _, tau = enumerate_observables(n, p)
+        assert sum(math.comb(n, k) * t for k, t in enumerate(tau)) == pytest.approx(chi, abs=1e-12)
+        profile = two_point_profile(dim, st.census)
+        se = (st.census / stats.radial_totals(dim)).std(axis=0, ddof=1) / math.sqrt(replicates)
+        assert (se[1:] > 0).all()
+        z = (profile.values[1:] - tau[1:]) / se[1:]
+        assert (np.abs(z) <= 4).all(), (n, p, z)
+
+
+@pytest.mark.parametrize("n, eps", [(18, 0.0), (18, 0.5), (20, 0.0)])
+def test_automorphic_image_has_the_same_observables(n, eps):
+    # no oracle is fast enough at n = 18-20: sigma(G) is isomorphic to G, so its
+    # cluster sizes, chi, top two and pair census must be G's
+    dim = CubeDim(n)
+    graph = sample_subgraph(dim, pc_expansion_reference(n) + eps / n, SeedSpec(2026, 0))
+    rng = np.random.default_rng(n)
+    image = automorphism_image(graph, rng.permutation(n).tolist(), int(rng.integers(dim.volume)))
+    a, b = label_components(graph), label_components(image)
+    assert np.array_equal(np.sort(a.size_by_root[a.size_by_root > 0]),
+                          np.sort(b.size_by_root[b.size_by_root > 0]))
+    assert chi_sample(a) == chi_sample(b)
+    assert top_two(a) == top_two(b)
+    assert np.array_equal(pair_census(a), pair_census(b))
 
 
 def test_two_point_profile_sums_before_dividing():
