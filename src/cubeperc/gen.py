@@ -175,5 +175,6 @@ def sprinkle_split(n: int, p: float, eps: float) -> float:
         raise ValueError(f"cannot split: p={p} is below the sprinkling density {q}")
     if p > 1.0:
         raise ValueError("p must lie in [0, 1]")
-    return (p - q) / (1.0 - q)
+    # exactly p_minus <= p; as p nears 1 the rounded quotient can exceed it
+    return min((p - q) / (1.0 - q), p)
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -713,6 +714,19 @@ _REPLAYED = {
                     "--overlap-instances", "5", "--paths-instances", "5", "--seed", "9"],
 }
 
+# SHA-256 of each case's CSVs, hashed as perfbench/run._digest_files does; a change
+# that moves one on purpose re-records it and names the old and new digests
+_REPLAYED_DIGESTS = {
+    "lemma-check": "1b0fed4f250c217b53d66e05c86b488b52a37752240a1cb9fe7eb2b3a9a5f8d2",
+    "oracle": "64bb981a8111b764404a7ef2603baa17bfd7bbae07417aaaa1559d8a79019f66",
+    "pc-solve": "cfbdc19576055e7fdddb794e27fa245b585183c1243a29165b80ffbe23b3bf84",
+    "pc-solve-tol": "16290f31a642a5dde740cb21d60b4aaaf7d68bf7b91cd30ddd26e099e5791ff1",
+    "sprinkle": "b3233fe8aea51098759762c548ccaf4a34d86f8c6939df08d178f30a7f236d8e",
+    "sweep-config": "a3432394cf71a64063fb92320536b0a2ee7c6f189f4a03e1c35afd59db83a797",
+    "sweep-triangle": "9e2f70e6b4578df2c8cf9b29f859eb878edf4d1688700da7383fa4bf516d3a89",
+    "triangle": "59ac85fe412901c5216deaff1bd9a46912271e18dfd17525ef932964d9db2ce9",
+}
+
 
 @pytest.mark.parametrize("case", sorted(_REPLAYED))
 def test_every_run_directory_replays_itself(tmp_path, capsys, case):
@@ -729,8 +743,12 @@ def test_every_run_directory_replays_itself(tmp_path, capsys, case):
     assert parse_and_dispatch(replay[2:5] + ["--out", str(again)]) == EXIT_OK
     tables = sorted(path.name for path in first.glob("*.csv"))
     assert tables and tables == sorted(path.name for path in again.glob("*.csv"))
+    digest = hashlib.sha256()
     for name in tables:
-        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+        body = (first / name).read_bytes()
+        assert (again / name).read_bytes() == body, name
+        digest.update(name.encode() + b"\0" + body + b"\0")
+    assert digest.hexdigest() == _REPLAYED_DIGESTS[case]
 
 
 @settings(deadline=None, max_examples=500)

@@ -17,6 +17,7 @@ from cubeperc.experiments import SPRINKLE_SALT
 from cubeperc.gen import (
     OccupiedGraph,
     SeedSpec,
+    sample_layers,
     sample_subgraph,
     sprinkle_split,
 )
@@ -149,6 +150,21 @@ def test_warm_start_matches_cold_and_bfs_reference(n, p, q, rep):
         assert (lab.root_of.dtype, lab.size_by_root.dtype, lab.sizes_desc.dtype) == \
             (np.int32, np.int64, np.int64)
     assert np.array_equal(warm.size_by_root, cold.size_by_root)
+
+
+def test_three_density_ladder_joined_matches_cold_labelings_at_n20():
+    # above n = 16 no reference is fast enough: each density's joined labeling
+    # must be the cold labeling of the same density's sample
+    n = 20
+    dim, pc, seed = CubeDim(n), pc_expansion_reference(n), SeedSpec(2026, 0)
+    ps = (pc - 0.45 / n, pc, pc + 0.45 / n)
+    joined = None
+    for p, layer in zip(ps, sample_layers(dim, ps, seed)):
+        joined = label_components(layer, None if joined is None else joined.root_of)
+        cold = label_components(sample_subgraph(dim, p, seed))
+        assert np.array_equal(joined.root_of, cold.root_of), p
+        assert np.array_equal(joined.size_by_root, cold.size_by_root), p
+        del cold  # one cold labeling alive at a time
 
 
 def test_warm_start_of_another_dimension_is_rejected():

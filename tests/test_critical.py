@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from cubeperc.critical import (
     window_coord,
 )
 from cubeperc.cube import MAX_DIMENSION, CubeDim
+from cubeperc.experiments import exact_enumerate
 
 
 def test_expansion_reference_values():
@@ -54,6 +56,42 @@ def test_n2_recovers_hand_inverted_threshold():
     assert abs(res.p_hat - 0.5) < 0.1
     gap = abs(res.chi_at_p_hat.mean - 2.5625)
     assert gap <= 2 * res.chi_at_p_hat.std_error
+
+
+@functools.cache
+def _exact_threshold(n):
+    """The p where the exact chi reaches 2^(n/3), by 45 halvings, and chi's slope there."""
+    target = 2.0 ** (n / 3.0)
+    lo, hi = 0.0, 1.0
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        if exact_enumerate(n, mid).chi_exact > target:
+            hi = mid
+        else:
+            lo = mid
+    p, h = 0.5 * (lo + hi), 1e-6
+    slope = (exact_enumerate(n, p + h).chi_exact - exact_enumerate(n, p - h).chi_exact) / (2 * h)
+    return p, slope
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_default_bracket_holds_the_exact_threshold(n):
+    # at the default tol_p (0.079 at n = 2, 0.042 at n = 3) the bracket alone
+    # must hold p_exact (0.2318 at n = 2, 0.2072 at n = 3)
+    p_exact, _ = _exact_threshold(n)
+    for seed in range(5):
+        res = solve_pc(CubeDim(n), 1.0, master_seed=seed)
+        assert abs(res.p_hat - p_exact) <= res.ci_half_width, seed
+
+
+def test_fine_bracket_holds_the_exact_threshold_within_the_statistical_error():
+    # at tol_p = 1e-2 a late midpoint can be decided by noise and the bracket alone
+    # can miss p_exact, so the allowance adds 2 se(chi at p_hat) / slope
+    p_exact, slope = _exact_threshold(3)
+    for seed in (0, 1):
+        res = solve_pc(CubeDim(3), 1.0, tol_p=1e-2, master_seed=seed)
+        allowance = 2.0 * res.chi_at_p_hat.std_error / slope
+        assert abs(res.p_hat - p_exact) <= res.ci_half_width + allowance, seed
 
 
 def test_solver_is_deterministic():

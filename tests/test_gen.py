@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeperc.cube import CubeDim
@@ -193,6 +193,7 @@ def test_sprinkle_split_algebra():
 
 
 @given(n=st.integers(1, 24), p=st.floats(0.0, 1.0), eps=st.floats(1e-6, 1.0))
+@example(n=6, p=0.9999999999999999, eps=0.5842317624400011)  # the quotient rounded to 1.0
 @settings(deadline=None, max_examples=200)
 def test_sprinkle_split_exact_relation(n, p, eps):
     q = eps / (2 * n)

@@ -322,11 +322,12 @@ def test_pair_census_of_the_full_cube_at_the_transform_dtype_edge(n):
 
 
 @pytest.mark.parametrize("rep", [1, 2])
-@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("n", [15, 16, 18, 20])
 def test_spectral_census_above_the_cut_matches_the_direct_census(n, rep):
-    # at p_c the components above the cut (350 at n = 15, 512 at n = 16) have
-    # 410 to 1,010 vertices: spectra of the int32 transform, and of n = 15's
-    # odd split of the index bits, other than the full cube's single spike
+    # at p_c the components above the cut (350, 512, 1,086 and 2,289 vertices at
+    # n = 15, 16, 18 and 20) number 1 to 5 and have 410 to 5,201 vertices: spectra
+    # of the int32 transform, and of n = 15's odd split of the index bits, other
+    # than the full cube's single spike
     dim = CubeDim(n)
     lab = label_components(sample_subgraph(dim, pc_expansion_reference(n), SeedSpec(2026, rep)))
     big = lab.size_by_root[lab.root_of] > math.isqrt(n * dim.volume // 4)
