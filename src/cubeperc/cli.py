@@ -52,7 +52,7 @@ from .experiments import (
 )
 from .gen import SeedSpec
 from .lemmas import run_harper_suite, run_overlap_suite, run_paths_suite, run_tail_suite
-from .stats import Estimate, replicate_stats, triangle_diagram_hat, two_point_profile
+from .stats import Estimate, pair_census, replicate_stats, triangle_diagram_hat, two_point_profile
 
 __all__ = ["main", "parse_and_dispatch"]
 
@@ -331,9 +331,10 @@ def _cmd_sprinkle(cfg: dict[str, Any]) -> Run:
 def _cmd_triangle(cfg: dict[str, Any]) -> Run:
     p = _p_hat(cfg, (cfg["eps"],)) + cfg["eps"] / cfg["n"]
     dim = CubeDim(cfg["n"])
-    (st,) = replicate_stats(dim, (p,), cfg["seed"], range(cfg["replicates"]), census=True)
-    profile = two_point_profile(dim, st.census)
-    report = triangle_diagram_hat(profile, float(st.chi.mean()), p=p)
+    (st,) = replicate_stats(dim, (p,), cfg["seed"], range(cfg["replicates"]),
+                            [{"census": pair_census}])
+    profile = two_point_profile(dim, st["census"])
+    report = triangle_diagram_hat(profile, float(st["chi"].mean()), p=p)
     return Run({"two_point.csv": (reports.PROFILE_HEADER, reports.profile_rows(profile)),
                 "triangle.csv": (reports.TRIANGLE_HEADER, reports.triangle_rows([report]))},
                [f"p={p:.6f} nabla_diag={report.nabla_diag:.6f} "
@@ -343,7 +344,7 @@ def _cmd_triangle(cfg: dict[str, Any]) -> Run:
 def _cmd_oracle(cfg: dict[str, Any]) -> Run:
     oracle = exact_enumerate(cfg["n"], cfg["p"])
     (st,) = replicate_stats(CubeDim(cfg["n"]), (cfg["p"],), cfg["seed"], range(cfg["replicates"]))
-    mc = Estimate.from_samples(st.chi)
+    mc = Estimate.from_samples(st["chi"])
     gap = abs(mc.mean - oracle.chi_exact)
     # one replicate has se 0: a nonzero gap is then infinitely many se, a zero gap none
     sigmas = gap / mc.std_error if mc.std_error > 0 else (np.inf if gap else 0.0)

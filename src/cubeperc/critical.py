@@ -97,7 +97,7 @@ def _evaluate_midpoint(dim: CubeDim, p: float, target: float,
     level = schedule.initial
     while True:
         (more,) = replicate_stats(dim, (p,), master_seed, range(samples.size, level))
-        samples = np.concatenate([samples, more.chi])
+        samples = np.concatenate([samples, more["chi"]])
         est = Estimate.from_samples(samples)
         if abs(est.mean - target) > CONFIDENCE_Z * est.std_error:
             return est, True
@@ -155,7 +155,7 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
     # the terminal bracket; a huge count would resolve the O(tol_p) bias
     # instead of the target.
     (final,) = replicate_stats(dim, (p_hat,), master_seed, range(schedule.initial))
-    chi_final = Estimate.from_samples(final.chi)
+    chi_final = Estimate.from_samples(final["chi"])
     total += chi_final.replicates
     return PcResult(dim.n, lam, p_hat, 0.5 * (hi - lo), total, chi_final, True, tuple(trace))
 

@@ -8,6 +8,7 @@ largest-cluster sizes are monotone along the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .stats import (
     Estimate,
     TriangleReport,
     n_alpha,
+    pair_census,
     replicate_stats,
     triangle_diagram_hat,
     two_point_profile,
@@ -164,10 +166,12 @@ def run_sweep(cfg: SweepConfig, p_hat: float) -> list[SweepRecord]:
     live = [i for i, p in enumerate(ps) if 0.0 <= p <= 1.0]
     cuts = {i: n_alpha(p_hat, ps[i], cfg.n, cfg.alpha)
             for i in live if cfg.epsilon_grid[i] > 0.0 and ps[i] > p_hat}
-    z_at = [math.ceil(cuts[i]) if i in cuts else None for i in live]
+    reducers = [{"z_geq": functools.partial(count_z_geq, k=math.ceil(cuts[i]))}
+                if i in cuts else {} for i in live]
+    if triangle_on:
+        reducers = [{**more, "census": pair_census} for more in reducers]
     measured = dict(zip(live, replicate_stats(
-        dim, [ps[i] for i in live], cfg.master_seed, range(cfg.replicates), z_at=z_at,
-        census=triangle_on)))
+        dim, [ps[i] for i in live], cfg.master_seed, range(cfg.replicates), reducers)))
     records: list[SweepRecord] = []
     for i, (eps, p) in enumerate(zip(cfg.epsilon_grid, ps)):
         coord = window_coord(p, cfg.n, p_hat)
@@ -179,17 +183,18 @@ def run_sweep(cfg: SweepConfig, p_hat: float) -> list[SweepRecord]:
 
         triangle = None
         if triangle_on:
-            triangle = triangle_diagram_hat(two_point_profile(dim, st.census),
-                                            float(np.mean(st.chi)), p=p)
+            triangle = triangle_diagram_hat(two_point_profile(dim, st["census"]),
+                                            float(np.mean(st["chi"])), p=p)
 
+        cmax, c2 = st["top"].T
         records.append(SweepRecord(
             eps, coord.Lambda, p, coord.regime, False, *refs,
-            chi=Estimate.from_samples(st.chi),
-            cmax_mean=float(np.mean(st.cmax)),
-            cmax_median=float(np.median(st.cmax)),
-            c2_mean=float(np.mean(st.c2)),
-            theta=Estimate.from_samples(st.z_geq / dim.volume) if st.z_geq is not None else None,
-            z_geq=Estimate.from_samples(st.z_geq) if st.z_geq is not None else None,
+            chi=Estimate.from_samples(st["chi"]),
+            cmax_mean=float(np.mean(cmax)),
+            cmax_median=float(np.median(cmax)),
+            c2_mean=float(np.mean(c2)),
+            theta=Estimate.from_samples(st["z_geq"] / dim.volume) if "z_geq" in st else None,
+            z_geq=Estimate.from_samples(st["z_geq"]) if "z_geq" in st else None,
             n_alpha_cut=cuts.get(i),
             triangle=triangle,
         ))

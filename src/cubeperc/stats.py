@@ -12,27 +12,29 @@ sprinkling experiment excepted): replicate r at any density uses the
 uniforms of SeedSpec(master_seed, r), so densities are monotone-coupled.
 One call takes every density of a driver, a density ladder: each replicate
 hashes its edges once, labels the layer of the lowest density cold and
-joins each higher density's layer onto the labeling below it.
+joins each higher density's layer onto the labeling below it.  Each
+labeling is reduced by one table of named functions, chi and the top two
+always and whatever else the caller names, and each name's values come back
+as one array over the replicates.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .clusters import ClusterLabeling, count_z_geq, label_components, top_two
+from .clusters import ClusterLabeling, label_components, top_two
 from .cube import CubeDim
 from .gen import SeedSpec, sample_layers
 
 __all__ = [
     "Estimate",
     "RadialProfile",
-    "ReplicateStats",
     "TriangleReport",
     "chi_sample",
     "n_alpha",
@@ -82,17 +84,6 @@ class RadialProfile:
             raise ValueError("profile values must be finite and nonnegative")
         object.__setattr__(self, "values", values)
         self.values.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class ReplicateStats:
-    """Per-replicate statistics in replicate order; z_geq and census are None unless asked for."""
-
-    chi: np.ndarray
-    cmax: np.ndarray
-    c2: np.ndarray
-    z_geq: np.ndarray | None
-    census: np.ndarray | None
 
 
 # The constants of the triangle bound a0 = K1/n + K2 chi^3 / 2^n.
@@ -255,59 +246,48 @@ def pair_census(labeling: ClusterLabeling) -> np.ndarray:
     return counts
 
 
-def replicate_stats(dim: CubeDim, ps: Sequence[float], master_seed: int, replicates: range, *,
-                    z_at: Sequence[int | None] | None = None,
-                    census: bool = False) -> list[ReplicateStats]:
+def replicate_stats(dim: CubeDim, ps: Sequence[float], master_seed: int, replicates: range,
+                    reducers: Sequence[Mapping[str, Callable[[ClusterLabeling], object]]]
+                    | None = None) -> list[dict[str, np.ndarray]]:
     """Sample, label and reduce the replicates r in `replicates` at each density of ps.
 
-    Returns one ReplicateStats per density, in the order of ps.  Replicate r
-    draws the uniforms of SeedSpec(master_seed, r), so consecutive replicate
-    ranges concatenate to their union.  Each replicate hashes its edges once
-    for every density: `sample_layers` splits them into the layers that the
-    densities add in ascending order, the lowest is labeled cold and each
-    later one is joined onto the labeling below it.  A smallest-vertex
-    labeling does not depend on the order its edges arrive in, so each equals
-    the cold labeling of sample_subgraph(dim, p, SeedSpec(master_seed, r)).
-    `chi_sample` (chi) and `top_two` (cmax and c2) always run; the costly
-    reducers run only when asked for: `count_z_geq` at each density's cutoff
-    in `z_at`, None for none (z_geq), and `pair_census` (census, one row per
-    replicate).
+    Returns one dict per density, in the order of ps, from a reducer's name
+    to its values stacked over the replicates in replicate order.  Every
+    density runs `chi_sample` as "chi" (shape (R,)) and `top_two` as "top"
+    (one (cmax, c2) row per replicate, shape (R, 2)); `reducers`, one mapping
+    per density from a name to a function of a ClusterLabeling, adds the
+    costlier ones where a caller names them, such as
+    partial(count_z_geq, k=k) or pair_census.  Replicate r draws the uniforms
+    of SeedSpec(master_seed, r), so consecutive replicate ranges concatenate
+    to their union.  Each replicate hashes its edges once for every density:
+    `sample_layers` splits them into the layers that the densities add in
+    ascending order, the lowest is labeled cold and each later one is joined
+    onto the labeling below it.  A smallest-vertex labeling does not depend
+    on the order its edges arrive in, so each equals the cold labeling of
+    sample_subgraph(dim, p, SeedSpec(master_seed, r)).
     """
-    if not ps:
-        return []
+    if not replicates:
+        raise ValueError("at least one replicate required")
+    extra = [{}] * len(ps) if reducers is None else list(reducers)
+    if len(extra) != len(ps):
+        raise ValueError("reducers needs one mapping per density")
+    # the reducers are looked up at each call, so a rebound module name is seen
+    tables = [{"chi": chi_sample, "top": top_two, **more} for more in extra]
+    rows = [{name: [] for name in table} for table in tables]
     order = sorted(range(len(ps)), key=ps.__getitem__)
     ascending = [ps[i] for i in order]
-    cutoffs = [None] * len(ps) if z_at is None else list(z_at)
-    if len(cutoffs) != len(ps):
-        raise ValueError("z_at needs one cutoff per density")
-    rows = [([], [], [], []) for _ in ps]
     for r in replicates:
         layers = sample_layers(dim, ascending, SeedSpec(master_seed, r))
         root_of = None
         for i in order:
             # no name holds the layer, so it is freed before the reducers run
             lab = label_components(next(layers), root_of)
-            chis, tops, zs, censuses = rows[i]
-            chis.append(chi_sample(lab))
-            tops.append(top_two(lab))
-            if cutoffs[i] is not None:
-                zs.append(count_z_geq(lab, cutoffs[i]))
-            if census:
-                censuses.append(pair_census(lab))
+            for name, reduce in tables[i].items():
+                rows[i][name].append(reduce(lab))
             # the next join reads only root_of: free the sizes before it runs
             root_of = lab.root_of
             del lab
-    out = []
-    for (chis, tops, zs, censuses), cutoff in zip(rows, cutoffs):
-        pairs = np.array(tops, dtype=np.int64).reshape(-1, 2)
-        out.append(ReplicateStats(
-            chi=np.array(chis, dtype=np.float64),
-            cmax=pairs[:, 0],
-            c2=pairs[:, 1],
-            z_geq=np.array(zs, dtype=np.int64) if cutoff is not None else None,
-            census=np.array(censuses, dtype=np.int64).reshape(-1, dim.n + 1) if census else None,
-        ))
-    return out
+    return [{name: np.array(values) for name, values in row.items()} for row in rows]
 
 
 def two_point_profile(dim: CubeDim, censuses: np.ndarray) -> RadialProfile:

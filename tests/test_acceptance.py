@@ -4,12 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines and the report-only quantities.
 """
 
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
 
+from cubeperc.clusters import count_z_geq
 from cubeperc.critical import DEFAULT_LAMBDA, pc_expansion_reference, solve_pc
 from cubeperc.cube import CubeDim
 from cubeperc.experiments import (
@@ -36,20 +38,32 @@ from conftest import ACCEPTANCE_MASTER_SEED, criterion
 
 def _chi(n, p, replicates, master):
     (st,) = replicate_stats(CubeDim(n), (p,), master, range(replicates))
-    return Estimate.from_samples(st.chi)
+    return Estimate.from_samples(st["chi"])
 
 
 def test_criterion_1_oracle_equivalence():
     with criterion(1, "oracle equivalence at n <= 3"):
         start = time.perf_counter()
+        replicates = 2000
         for n in (1, 2, 3):
             for p in (0.1, 0.3, 0.5, 0.7):
                 oracle = exact_enumerate(n, p)
                 if (n, p) == (2, 0.5):
                     assert oracle.chi_exact == 2.5625
-                est = _chi(n, p, 2000, master=101)
+                # vertex 0 is the smallest of its component, so always its root
+                (st,) = replicate_stats(CubeDim(n), (p,), 101, range(replicates),
+                                        [{"c0": lambda lab: int(lab.size_by_root[0])}])
+                est = Estimate.from_samples(st["chi"])
                 gap = abs(est.mean - oracle.chi_exact)
                 assert gap <= 4 * est.std_error, (n, p, est, oracle.chi_exact)
+                cmax = Estimate.from_samples(st["top"][:, 0])
+                gap = abs(cmax.mean - oracle.e_cmax_exact)
+                assert gap <= 4 * cmax.std_error, (n, p, cmax, oracle.e_cmax_exact)
+                # each cell of the |C(0)| pmf within 4 binomial standard errors
+                pmf = oracle.cluster_size_pmf
+                mc = np.bincount(st["c0"], minlength=pmf.size) / replicates
+                band = 4 * np.sqrt(pmf * (1 - pmf) / replicates)
+                assert mc.shape == pmf.shape and (np.abs(mc - pmf) <= band).all(), (n, p, mc, pmf)
         assert time.perf_counter() - start < 60
 
 
@@ -129,7 +143,7 @@ def test_criterion_6_subcritical_regime(pc16):
         p = pc16.p_hat + eps / n
         bound = 2.0 * (2.0 * n * math.log(2)) / eps**2
         (st,) = replicate_stats(CubeDim(n), (p,), 601, range(replicates))
-        cmax = st.cmax
+        cmax = st["top"][:, 0]
         within = int((cmax <= bound).sum())
         assert within >= 0.95 * replicates, (within, replicates, bound)
         assert time.perf_counter() - start < 600
@@ -141,7 +155,7 @@ def test_criterion_7_window_scaling(pc12, pc14, pc16):
         ratios = {}
         for pc in (pc12, pc14, pc16):
             (st,) = replicate_stats(CubeDim(pc.n), (pc.p_hat,), 700 + pc.n, range(100))
-            cmaxes = st.cmax
+            cmaxes = st["top"][:, 0]
             ratios[pc.n] = float(np.median(cmaxes)) / 2.0 ** (2 * pc.n / 3)
             print(f"  n={pc.n}: median|Cmax|/V^(2/3) = {ratios[pc.n]:.4f}")
             assert 0.05 <= ratios[pc.n] <= 20.0, ratios
@@ -182,8 +196,8 @@ def test_criterion_9_monotone_coupling():
             # replicate `trial` at each p: one SeedSpec(902, trial), nested samples
             st = [replicate_stats(dim, (p,), 902, range(trial, trial + 1))[0]
                   for p in ps.tolist()]
-            cmaxes = [int(x.cmax[0]) for x in st]
-            chis = [float(x.chi[0]) for x in st]
+            cmaxes = [int(x["top"][0, 0]) for x in st]
+            chis = [float(x["chi"][0]) for x in st]
             assert cmaxes[0] <= cmaxes[1] <= cmaxes[2], (ps, cmaxes)
             assert chis[0] <= chis[1] <= chis[2], (ps, chis)
             checked += 1
@@ -225,8 +239,9 @@ def test_criterion_10_report_only_quantities(pc14):
         eps = 0.45
         p_sup = pc14.p_hat + eps / n
         cut = n_alpha(pc14.p_hat, p_sup, n, 0.5)
-        (st,) = replicate_stats(CubeDim(n), (p_sup,), 1004, range(40), z_at=(math.ceil(cut),))
-        z_geq = st.z_geq
+        (st,) = replicate_stats(CubeDim(n), (p_sup,), 1004, range(40),
+                                [{"z_geq": functools.partial(count_z_geq, k=math.ceil(cut))}])
+        z_geq = st["z_geq"]
         theta = Estimate.from_samples(z_geq / 2**n)
         # replicates whose count strays from the mean by more than 2^(n(1-eta1)) theta_hat
         mean_z = float(z_geq.mean())

@@ -598,7 +598,7 @@ _DRIVER_INPUTS = {
     "run_sweep": lambda cfg, p_hat: 0.0 <= p_hat <= 1.0 and cfg.master_seed >= 0
         and any(0.0 <= p_hat + eps / cfg.n <= 1.0 for eps in cfg.epsilon_grid),
     "sprinkling_experiment": lambda n, eps, alpha, seed, p_hat: 0.0 <= p_hat + eps / n <= 1.0,
-    "replicate_stats": lambda dim, ps, seed, replicates, census=False:
+    "replicate_stats": lambda dim, ps, seed, replicates, reducers=None:
         all(0.0 <= p <= 1.0 for p in ps) and replicates.stop > replicates.start and seed >= 0,
     "exact_enumerate": lambda n, p: n in (1, 2, 3) and 0.0 <= p <= 1.0,
     "run_harper_suite": _suite_input,

@@ -400,7 +400,7 @@ def test_label_memory_is_bounded_per_vertex(eps):
     for count in (1, 2, 11):
         ps = [pc_expansion_reference(n) + e / n for e in np.linspace(eps, -0.9, count)]
         ladder, peak = _peak_bytes(lambda: replicate_stats(dim, ps, 2026, range(1)))
-        assert ladder[0].cmax.tolist() == [top_two(expected)[0]]
+        assert ladder[0]["top"][:, 0].tolist() == [top_two(expected)[0]]
         assert peak <= 80 * dim.volume, \
             f"{count}-density peak {peak / dim.volume:.1f} B per vertex"
     if eps == 0.0:

@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cubeperc import reports
+from cubeperc import experiments, reports, stats
 from cubeperc.clusters import label_components, top_two
 from cubeperc.critical import pc_expansion_reference
 from cubeperc.cube import CubeDim
@@ -91,6 +92,39 @@ def test_sweep_ladder_matches_one_density_sweeps():
               for eps in cfg.epsilon_grid]
     assert [r.skipped for r in ladder] == [False, False, True, False, False, True, False]
     assert [repr(r) for r in ladder] == [repr(r) for r in single]
+
+
+def test_sweep_reaches_its_reducers_through_module_names(monkeypatch):
+    # the benchmark probe counts layer calls by rebinding these module names
+    # after import, so each call must look its reducers up when it runs: one
+    # chi, top-two and census call per (replicate, density), and count_z_geq
+    # only at the densities with a cut, at that cut
+    cfg = SweepConfig(n=6, epsilon_grid=(-0.3, 0.0, 50.0, 0.5, 1.0), replicates=4,
+                      master_seed=3, observables=ObservableFlags(triangle=True))
+    p_hat = 0.2
+    expected = run_sweep(cfg, p_hat)
+    live = sum(not r.skipped for r in expected)
+    calls = collections.Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(labeling, **kwargs):
+            calls[name, kwargs.get("k")] += 1
+            return fn(labeling, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((stats, "chi_sample"), (stats, "top_two"),
+                         (experiments, "count_z_geq"), (experiments, "pair_census")):
+        counted(module, name)
+    records = run_sweep(cfg, p_hat)
+    assert [repr(r) for r in records] == [repr(r) for r in expected]
+    cuts = [math.ceil(r.n_alpha_cut) for r in records if r.n_alpha_cut is not None]
+    assert live == 4 and len(set(cuts)) == 2
+    assert calls == {("chi_sample", None): cfg.replicates * live,
+                     ("top_two", None): cfg.replicates * live,
+                     ("pair_census", None): cfg.replicates * live,
+                     **{("count_z_geq", k): cfg.replicates for k in cuts}}
 
 
 def test_sweep_reference_values():
@@ -210,7 +244,7 @@ def test_duality_ratio_matches_matched_replicates(n, eps, replicates, seed, p_ha
     # the ratio of means over the same replicate seeds on both sides of p_hat
     below, above = replicate_stats(CubeDim(n), (p_hat - eps / n, p_hat + eps / n), seed,
                                    range(replicates))
-    expected = float(np.mean(above.c2) / np.mean(below.cmax))
+    expected = float(np.mean(above["top"][:, 1]) / np.mean(below["top"][:, 0]))
     records = run_sweep(SweepConfig(n=n, epsilon_grid=(-eps, 0.0, eps), replicates=replicates,
                                     master_seed=seed), p_hat)
     assert _duality_entries(regime_summary(records)) == {

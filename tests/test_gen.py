@@ -77,6 +77,31 @@ def test_per_edge_uniformity():
     assert abs(total - edges * p) < 4 * sigma
 
 
+def test_joint_law_of_the_edges():
+    # every estimator assumes independent edges, within and across replicates.
+    # Q_3 has 12 edges, so at p = 1/2 each of the 4,096 configurations has
+    # probability 2^-12.  The chi-square over them has 4,095 degrees of
+    # freedom; its critical value is the Wilson-Hilferty 1 - 1e-4 quantile,
+    # fixed before the run, so an independent sampler fails 1 run in 10^4.
+    # At lag 1, sqrt(R) times an edge's correlation is about N(0, 1), so a
+    # bound of 5 R^-1/2 on the largest of the 12 fails about 1 run in 10^5.
+    dim, replicates = CubeDim(3), 120_000
+    cells, z = 1 << dim.edge_count, 3.719016485455709  # Phi(z) = 1 - 1e-4
+    dof = cells - 1
+    critical = dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+    assert 4440 < critical < 4441
+    edges = np.array([sample_subgraph(dim, 0.5, SeedSpec(7, r)).planes.reshape(-1)
+                      for r in range(replicates)])
+    observed = np.bincount(edges.astype(np.int64) @ (1 << np.arange(dim.edge_count)),
+                           minlength=cells)
+    expected = replicates / cells
+    assert float(((observed - expected) ** 2).sum() / expected) < critical
+    centred = edges - edges.mean(axis=0)
+    lag1 = (centred[1:] * centred[:-1]).sum(axis=0) / np.sqrt(
+        (centred[1:] ** 2).sum(axis=0) * (centred[:-1] ** 2).sum(axis=0))
+    assert np.abs(lag1).max() < 5 / math.sqrt(replicates)
+
+
 def test_coupled_sample_nested():
     # one SeedSpec thresholds the same uniforms at every p, so samples nest
     dim = CubeDim(7)

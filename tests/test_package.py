@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 import pkgutil
 
 import cubeperc
@@ -19,3 +20,13 @@ def test_every_exported_name_resolves():
         *(importlib.import_module(f"cubeperc.{name}").__all__ for name in REPUBLISHED))
     public = {n for n in vars(cubeperc) if not n.startswith("_") and n not in MODULES}
     assert public == republished, sorted(public ^ republished)
+
+
+def test_readme_library_example_runs():
+    # the first python block under "## Library" is the documented call; run it
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    start = library.index("```python\n") + len("```python\n")
+    block = library[start:library.index("```", start)]
+    assert "replicate_stats(" in block
+    exec(compile(block, "README.md", "exec"), {})

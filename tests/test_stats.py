@@ -37,7 +37,11 @@ from _reference import (
 
 def _chi(n, p, replicates, master=0):
     (st,) = replicate_stats(CubeDim(n), (p,), master, range(replicates))
-    return Estimate.from_samples(st.chi)
+    return Estimate.from_samples(st["chi"])
+
+
+def _z_geq(k):
+    return [{"z_geq": functools.partial(count_z_geq, k=k)}]
 
 
 def test_estimate_from_samples():
@@ -54,25 +58,42 @@ def test_estimate_from_samples():
 def test_replicate_stats_matches_hand_loop():
     dim, p, master, k = CubeDim(9), 0.14, 31, 12
     labs = [label_components(sample_subgraph(dim, p, SeedSpec(master, r))) for r in range(7)]
-    (got,) = replicate_stats(dim, (p,), master, range(7), z_at=(k,), census=True)
-    assert got.chi.tolist() == [chi_sample(lab) for lab in labs]
-    assert got.cmax.tolist() == [top_two(lab)[0] for lab in labs]
-    assert got.c2.tolist() == [top_two(lab)[1] for lab in labs]
-    assert got.z_geq.tolist() == [count_z_geq(lab, k) for lab in labs]
-    assert got.census.tolist() == [pair_census(lab).tolist() for lab in labs]
+    reducers = [{"z_geq": functools.partial(count_z_geq, k=k), "census": pair_census}]
+    (got,) = replicate_stats(dim, (p,), master, range(7), reducers)
+    assert got["chi"].tolist() == [chi_sample(lab) for lab in labs]
+    assert got["top"].tolist() == [list(top_two(lab)) for lab in labs]
+    assert got["z_geq"].tolist() == [count_z_geq(lab, k) for lab in labs]
+    assert got["census"].tolist() == [pair_census(lab).tolist() for lab in labs]
+    assert {name: (values.dtype, values.shape) for name, values in got.items()} == {
+        "chi": (np.float64, (7,)), "top": (np.int64, (7, 2)), "z_geq": (np.int64, (7,)),
+        "census": (np.int64, (7, 10))}
     # consecutive ranges concatenate to the whole range
-    (head,) = replicate_stats(dim, (p,), master, range(3), z_at=(k,), census=True)
-    (tail,) = replicate_stats(dim, (p,), master, range(3, 7), z_at=(k,), census=True)
-    for field in ("chi", "cmax", "c2", "z_geq", "census"):
-        joined = np.concatenate([getattr(head, field), getattr(tail, field)])
-        assert joined.tolist() == getattr(got, field).tolist(), field
-    # chi, cmax and c2 always run; z_geq and census only when asked for
+    (head,) = replicate_stats(dim, (p,), master, range(3), reducers)
+    (tail,) = replicate_stats(dim, (p,), master, range(3, 7), reducers)
+    for name in ("chi", "top", "z_geq", "census"):
+        joined = np.concatenate([head[name], tail[name]])
+        assert joined.tolist() == got[name].tolist(), name
+    # chi and top always run; z_geq and census only where a mapping names them
     (bare,) = replicate_stats(dim, (p,), master, range(2))
-    for field in ("chi", "cmax", "c2"):
-        assert getattr(bare, field).tolist() == getattr(got, field)[:2].tolist(), field
-    assert bare.z_geq is bare.census is None
-    (empty,) = replicate_stats(dim, (p,), master, range(0), census=True)
-    assert empty.chi.shape == empty.cmax.shape == (0,) and empty.census.shape == (0, 10)
+    assert sorted(bare) == ["chi", "top"]
+    for name in bare:
+        assert bare[name].tolist() == got[name][:2].tolist(), name
+
+
+def test_replicate_stats_refuses_an_empty_range_and_a_short_table():
+    # the densities are checked only when a replicate is sampled, so an empty
+    # range would return without looking at them
+    dim = CubeDim(4)
+    for ps in ((0.3,), (2.0,)):
+        with pytest.raises(ValueError, match="at least one replicate"):
+            replicate_stats(dim, ps, 0, range(0))
+        with pytest.raises(ValueError, match="at least one replicate"):
+            replicate_stats(dim, ps, 0, range(5, 5), _z_geq(2))
+    with pytest.raises(ValueError, match="p must lie in"):
+        replicate_stats(dim, (2.0,), 0, range(1))
+    for ps, reducers in (((0.3,), []), ((0.3,), _z_geq(2) * 2), ((0.1, 0.3), _z_geq(2))):
+        with pytest.raises(ValueError, match="one mapping per density"):
+            replicate_stats(dim, ps, 0, range(3), reducers)
 
 
 def test_replicate_stats_samples_and_labels_once_per_replicate(monkeypatch):
@@ -101,7 +122,8 @@ def test_replicate_stats_samples_and_labels_once_per_replicate(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(gen, "_edge_hashes", hashes)
             patch.setattr(stats, "label_components", label)
-            got = replicate_stats(dim, ps, master, range(k), z_at=(4,) * len(ps), census=True)
+            got = replicate_stats(dim, ps, master, range(k), [
+                {"z_geq": functools.partial(count_z_geq, k=4), "census": pair_census}] * len(ps))
         assert len(hash_passes) == k
         assert len(labelings) == k * len(ps)
         for g in layers:
@@ -113,10 +135,10 @@ def test_replicate_stats_samples_and_labels_once_per_replicate(monkeypatch):
         # results come back in the caller's order, whatever order the ladder ran in
         for st, p in zip(got, ps):
             labs = [row[sorted(ps).index(p)] for row in cold]
-            assert st.chi.tolist() == [chi_sample(lab) for lab in labs]
-            assert st.cmax.tolist() == [top_two(lab)[0] for lab in labs]
-            assert st.z_geq.tolist() == [count_z_geq(lab, 4) for lab in labs]
-            assert st.census.tolist() == [pair_census(lab).tolist() for lab in labs]
+            assert st["chi"].tolist() == [chi_sample(lab) for lab in labs]
+            assert st["top"][:, 0].tolist() == [top_two(lab)[0] for lab in labs]
+            assert st["z_geq"].tolist() == [count_z_geq(lab, 4) for lab in labs]
+            assert st["census"].tolist() == [pair_census(lab).tolist() for lab in labs]
 
 
 def test_chi_boundary_exact():
@@ -139,7 +161,7 @@ def test_chi_against_enumeration_oracle():
 def test_p_geq_k_trivial_and_monotone():
     # P(|C(v)| >= k) is the engine's z_geq count over the 2^4 vertices
     dim = CubeDim(4)
-    means = [replicate_stats(dim, (0.4,), 0, range(30), z_at=(k,))[0].z_geq.mean() / dim.volume
+    means = [replicate_stats(dim, (0.4,), 0, range(30), _z_geq(k))[0]["z_geq"].mean() / dim.volume
              for k in range(18)]
     assert means[0] == 1.0
     assert means[17] == 0.0
@@ -149,8 +171,8 @@ def test_p_geq_k_trivial_and_monotone():
 def test_p_geq_k_against_enumeration():
     # P(|C(0)| >= 4) for n=2, p=0.5 from the 16-configuration census: 5/16
     dim = CubeDim(2)
-    (st,) = replicate_stats(dim, (0.5,), 9, range(2000), z_at=(4,))
-    z_geq = st.z_geq
+    (st,) = replicate_stats(dim, (0.5,), 9, range(2000), _z_geq(4))
+    z_geq = st["z_geq"]
     est = Estimate.from_samples(z_geq / dim.volume)
     assert abs(est.mean - 5.0 / 16.0) <= 4 * est.std_error
 
@@ -184,8 +206,8 @@ def test_theta_alpha_trivials():
     # any cutoff up to 16 and 0 above it
     dim = CubeDim(4)
     for cut, theta in ((1.0, 1.0), (16.0, 1.0), (16.5, 0.0)):
-        (st,) = replicate_stats(dim, (1.0,), 0, range(10), z_at=(math.ceil(cut),))
-        z_geq = st.z_geq
+        (st,) = replicate_stats(dim, (1.0,), 0, range(10), _z_geq(math.ceil(cut)))
+        z_geq = st["z_geq"]
         assert Estimate.from_samples(z_geq / dim.volume) == Estimate(theta, 0.0, 10)
 
 
@@ -193,8 +215,8 @@ def test_two_point_trivials():
     dim = CubeDim(6)
 
     def profile(p, replicates):
-        (st,) = replicate_stats(dim, (p,), 0, range(replicates), census=True)
-        return two_point_profile(dim, st.census)
+        (st,) = replicate_stats(dim, (p,), 0, range(replicates), [{"census": pair_census}])
+        return two_point_profile(dim, st["census"])
 
     profile0 = profile(0.0, 3)
     assert profile0.values[0] == 1.0
@@ -211,12 +233,13 @@ def test_two_point_trivials():
 def test_two_point_profile_against_enumeration(n, ps):
     # tau(k) exact from every configuration; its radial sum is chi
     dim, replicates = CubeDim(n), 2500
-    measured = replicate_stats(dim, ps, 2026, range(replicates), census=True)
+    measured = replicate_stats(dim, ps, 2026, range(replicates),
+                               [{"census": pair_census}] * len(ps))
     for p, st in zip(ps, measured):
         chi, _, _, tau = enumerate_observables(n, p)
         assert sum(math.comb(n, k) * t for k, t in enumerate(tau)) == pytest.approx(chi, abs=1e-12)
-        profile = two_point_profile(dim, st.census)
-        se = (st.census / stats.radial_totals(dim)).std(axis=0, ddof=1) / math.sqrt(replicates)
+        profile = two_point_profile(dim, st["census"])
+        se = (st["census"] / stats.radial_totals(dim)).std(axis=0, ddof=1) / math.sqrt(replicates)
         assert (se[1:] > 0).all()
         z = (profile.values[1:] - tau[1:]) / se[1:]
         assert (np.abs(z) <= 4).all(), (n, p, z)
@@ -241,8 +264,8 @@ def test_automorphic_image_has_the_same_observables(n, eps):
 def test_two_point_profile_sums_before_dividing():
     # the rows are summed exactly in int64 and divided once by R 2^n C(n, k)
     dim = CubeDim(9)
-    (st,) = replicate_stats(dim, (0.14,), 31, range(7), census=True)
-    census = st.census
+    (st,) = replicate_stats(dim, (0.14,), 31, range(7), [{"census": pair_census}])
+    census = st["census"]
     totals = np.array([7 * dim.volume * math.comb(9, k) for k in range(10)], dtype=np.float64)
     assert two_point_profile(dim, census).values.tolist() == (census.sum(axis=0) / totals).tolist()
     assert two_point_profile(dim, list(census)).values.tolist() == (census.sum(axis=0) / totals).tolist()
@@ -434,16 +457,16 @@ def test_triangle_diagram_trivials():
 
 def test_z_concentration_trivials():
     dim = CubeDim(5)
-    full = replicate_stats(dim, (1.0,), 0, range(20), z_at=(4,))[0].z_geq
+    full = replicate_stats(dim, (1.0,), 0, range(20), _z_geq(4))[0]["z_geq"]
     assert full.tolist() == [32] * 20
-    empty = replicate_stats(dim, (0.0,), 0, range(20), z_at=(2,))[0].z_geq
+    empty = replicate_stats(dim, (0.0,), 0, range(20), _z_geq(2))[0]["z_geq"]
     assert empty.tolist() == [0] * 20
 
 
 def test_chi_monotone_under_coupling():
     # one SeedSpec thresholds the same uniforms at every p, so chi is monotone
     dim = CubeDim(8)
-    chis = [replicate_stats(dim, (p,), 55, range(20))[0].chi
+    chis = [replicate_stats(dim, (p,), 55, range(20))[0]["chi"]
             for p in (0.05, 0.1, 0.2, 0.5)]
     for rep in range(20):
         stats = [c[rep] for c in chis]
