@@ -110,13 +110,18 @@ def label_components(graph: OccupiedGraph, start: np.ndarray | None = None) -> C
     """Hook-and-jump labeling of `graph`'s occupied edges, joined onto `start`.
 
     `start`, if given, is the root array of any partition of the cube that
-    labels each block by its smallest vertex (start[v] <= v,
-    start[start] == start), such as one layer's `root_of` when the graph is
-    the other.
+    labels each block by its smallest vertex (non-negative integers with
+    start[v] <= v and start[start] == start), such as one layer's `root_of`
+    when the graph is the other.
     """
     if start is not None:
         if start.shape != (graph.dim.volume,):
             raise ValueError(f"start must be a root array of shape ({graph.dim.volume},)")
+        if start.dtype.kind not in "iu":
+            raise ValueError(f"start must hold integer roots, not {start.dtype}")
+        if start.dtype.kind == "i" and (start < 0).any():
+            # a negative root would index from the end in the checks below
+            raise ValueError("start has a negative root")
         if (start > np.arange(graph.dim.volume, dtype=np.int32)).any():
             raise ValueError("start has a root above its vertex")
         if (start.take(start) != start).any():

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import CubeDim
-from .stats import Estimate, replicate_stats
+from .stats import BracketCarry, Estimate, replicate_stats
 
 __all__ = [
     "MIN_TOL_P",
@@ -90,13 +90,13 @@ def default_tol_p(n: int) -> float:
     return 2.0 ** (-n / 3.0) / (4.0 * n)
 
 
-def _evaluate_midpoint(dim: CubeDim, p: float, target: float,
-                       schedule: ReplicateSchedule, master_seed: int) -> tuple[Estimate, bool]:
+def _evaluate_midpoint(dim: CubeDim, p: float, target: float, schedule: ReplicateSchedule,
+                       master_seed: int, carry: BracketCarry) -> tuple[Estimate, bool]:
     """Add replicates until the confidence interval excludes the target or the cap hits."""
     samples = np.empty(0)
     level = schedule.initial
     while True:
-        (more,) = replicate_stats(dim, (p,), master_seed, range(samples.size, level))
+        (more,) = replicate_stats(dim, (p,), master_seed, range(samples.size, level), carry=carry)
         samples = np.concatenate([samples, more["chi"]])
         est = Estimate.from_samples(samples)
         if abs(est.mean - target) > CONFIDENCE_Z * est.std_error:
@@ -117,7 +117,9 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
     the interval test is approximate; the cap bounds each midpoint's cost.
     The bracket halves until it is at most tol_p wide, which takes
     ceil(log2(1/tol_p)) <= 52 bisections; a tol_p below MIN_TOL_P (or NaN)
-    raises ValueError.
+    raises ValueError.  The schedule's first `initial` replicates, drawn at
+    every midpoint, are carried from one to the next (`BracketCarry`), which
+    changes no number.
     """
     if not lam > 0.0:
         raise ValueError("lambda must be positive")
@@ -136,11 +138,12 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
         return PcResult(dim.n, lam, 1.0, 0.0, 0, Estimate(float(dim.volume), 0.0, 1), True)
 
     lo, hi = 0.0, 1.0
+    carry = BracketCarry(dim, master_seed, schedule.initial)
     trace: list[TracePoint] = []
     total = 0
     while hi - lo > tol_p:
         mid = 0.5 * (lo + hi)
-        est, resolved = _evaluate_midpoint(dim, mid, target, schedule, master_seed)
+        est, resolved = _evaluate_midpoint(dim, mid, target, schedule, master_seed, carry)
         total += est.replicates
         trace.append(TracePoint(len(trace) + 1, lo, hi, mid, est.mean, est.std_error,
                                 est.replicates, resolved))
@@ -148,13 +151,14 @@ def solve_pc(dim: CubeDim, lam: float = DEFAULT_LAMBDA, tol_p: float | None = No
             hi = mid
         else:
             lo = mid
+        carry.narrow(lo, hi)
 
     p_hat = 0.5 * (lo + hi)
     # The final check runs at the base schedule level so its confidence
     # interval stays commensurate with the susceptibility variation across
     # the terminal bracket; a huge count would resolve the O(tol_p) bias
     # instead of the target.
-    (final,) = replicate_stats(dim, (p_hat,), master_seed, range(schedule.initial))
+    (final,) = replicate_stats(dim, (p_hat,), master_seed, range(schedule.initial), carry=carry)
     chi_final = Estimate.from_samples(final["chi"])
     total += chi_final.replicates
     return PcResult(dim.n, lam, p_hat, 0.5 * (hi - lo), total, chi_final, True, tuple(trace))

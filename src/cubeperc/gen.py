@@ -68,6 +68,26 @@ class SeedSpec:
         return _mix64_scalar(k ^ ((self.replicate_index * _REPLICATE_SALT) & _MASK64))
 
 
+def _mix(x: np.ndarray, y: np.ndarray) -> None:
+    """SplitMix64 finalizer on the uint64 array x in place; y is scratch of its shape."""
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(x, np.uint64(shift), out=y)
+        x ^= y
+        x *= np.uint64(mul)
+    np.right_shift(x, np.uint64(31), out=y)
+    x ^= y
+
+
+def _threshold(p: float) -> np.uint64 | None:
+    """The bound an edge's hash h must stay below to be occupied at density p.
+
+    u < p for u = (h >> 11) * 2^-53 is h < ceil(p * 2^53) << 11, tested on
+    the integer hash; at p = 1 that shift overflows and every edge is kept
+    (None).
+    """
+    return np.uint64(math.ceil(p * 2.0**53) << 11) if p < 1.0 else None
+
+
 def _edge_hashes(dim: CubeDim, seed: SeedSpec):
     """Yield (lo, hi, h): h holds the 64-bit hashes of flat edge ids lo..hi-1.
 
@@ -81,13 +101,26 @@ def _edge_hashes(dim: CubeDim, seed: SeedSpec):
         hi = min(lo + _BLOCK, total)
         x, y = h[:hi - lo], t[:hi - lo]
         np.add(_BLOCK_STRIDES[:hi - lo], np.uint64((lo * _GOLDEN + key) & _MASK64), out=x)
-        for shift, mul in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(x, np.uint64(shift), out=y)
-            x ^= y
-            x *= np.uint64(mul)
-        np.right_shift(x, np.uint64(31), out=y)
-        x ^= y
+        _mix(x, y)
         yield lo, hi, x
+
+
+def split_edges(ids: np.ndarray, p: float, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Split the flat edge ids `ids` into those occupied at density p and the rest.
+
+    Only these ids are hashed, by the mixing `_edge_hashes` applies to whole
+    blocks, so an id lands where sample_subgraph(dim, p, seed) puts it.  Each
+    part keeps the order and dtype of ids.
+    """
+    t = _threshold(p)
+    if t is None:
+        return ids, ids[:0]
+    x = ids.astype(np.uint64)
+    x *= np.uint64(_GOLDEN)
+    x += np.uint64(seed.stream_key())
+    _mix(x, np.empty_like(x))
+    occupied = x < t
+    return ids[occupied], ids[~occupied]
 
 
 @dataclass(frozen=True)
@@ -123,9 +156,7 @@ def sample_layers(dim: CubeDim, ps: Sequence[float], seed: SeedSpec) -> Iterator
     if any(a > b for a, b in zip(ps, ps[1:])):
         raise ValueError("densities must be ascending")
     count = len(ps)
-    # u < p for u = (h >> 11) * 2^-53 is h < ceil(p * 2^53) << 11, tested on
-    # the integer hash; at p = 1 that shift overflows and every edge is kept
-    thresholds = [np.uint64(math.ceil(p * 2.0**53) << 11) for p in ps if p < 1.0]
+    thresholds = [t for t in map(_threshold, ps) if t is not None]
     dtype = bool if count == 1 else np.min_scalar_type(count)
     if not thresholds:
         levels = np.full(dim.edge_count, count, dtype=dtype)

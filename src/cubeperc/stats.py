@@ -30,7 +30,7 @@ import numpy as np
 
 from .clusters import ClusterLabeling, label_components, top_two
 from .cube import CubeDim
-from .gen import SeedSpec, sample_layers
+from .gen import OccupiedGraph, SeedSpec, sample_layers, split_edges
 
 __all__ = [
     "Estimate",
@@ -246,9 +246,81 @@ def pair_census(labeling: ClusterLabeling) -> np.ndarray:
     return counts
 
 
+# The replicates a bisection carries across its midpoints hold at most this
+# many bytes: each is charged two root arrays (its roots at the bracket's
+# lower end and at the last midpoint) and one root array's entries of edge ids.
+CARRY_BYTES = 8 << 20
+
+
+class BracketCarry:
+    """Replicates 0..carried-1 of a bisection, carried from midpoint to midpoint.
+
+    Replicate r draws the same uniforms at every density, so its sample at a
+    midpoint p of the bracket [lo, hi] is its sample at lo plus the edges
+    whose hash h has T(lo) <= h < T(p), T being gen's occupancy bound.  Each
+    carried replicate keeps its root_of at lo (none while lo = 0) and, once
+    the bracket expects at most 2^(n-1) undecided edges, T(lo) <= h < T(hi),
+    their ids, both in the narrowest unsigned type.  `sample` hands over the
+    edges p adds to lo (by rehashing only the undecided ids once it holds
+    them, by a full hash pass before) with the roots at lo to join them onto,
+    `hold` keeps the roots at p, and `narrow` moves lo or hi to p.  As many of
+    `replicates` are carried as CARRY_BYTES pays for, so none at n >= 20.
+    """
+
+    def __init__(self, dim: CubeDim, master_seed: int, replicates: int) -> None:
+        self.dim, self.master_seed = dim, master_seed
+        self.lo, self.hi = 0.0, 1.0
+        root_type = np.min_scalar_type(dim.volume - 1)
+        self._id_type = np.min_scalar_type(dim.edge_count - 1)
+        charge = dim.volume * (2 * root_type.itemsize + self._id_type.itemsize)
+        self.carried = min(replicates, CARRY_BYTES // charge)
+        self._roots = np.empty((self.carried, dim.volume), dtype=root_type)  # at lo
+        self._held = np.empty_like(self._roots)  # at the last midpoint
+        # the undecided ids, then the ids the last midpoint occupies and the rest
+        self._ids: list[np.ndarray | None] = [None] * self.carried
+        self._split: list[tuple[np.ndarray, np.ndarray] | None] = [None] * self.carried
+
+    def _band(self, seed: SeedSpec, top: float) -> OccupiedGraph:
+        """The edges with T(lo) <= h < T(top), from a full hash pass."""
+        *_, band = sample_layers(self.dim, (self.lo, top) if self.lo else (top,), seed)
+        return band
+
+    def sample(self, r: int, p: float) -> tuple[OccupiedGraph, np.ndarray | None]:
+        """The edges p adds to replicate r at lo, and r's roots at lo (None at lo = 0)."""
+        seed = SeedSpec(self.master_seed, r)
+        ids = self._ids[r]
+        if ids is None and 2 * (self.hi - self.lo) * self.dim.edge_count <= self.dim.volume:
+            ids = self._band(seed, self.hi).planes.ravel().nonzero()[0].astype(self._id_type)
+        if ids is None:
+            graph = self._band(seed, p)
+        else:
+            # the split replaces the ids until `narrow` keeps one side of it
+            self._ids[r] = None
+            below, _ = self._split[r] = split_edges(ids, p, seed)
+            flat = np.zeros(self.dim.edge_count, dtype=bool)
+            flat[below] = True
+            graph = OccupiedGraph(self.dim, flat.reshape(self.dim.n, -1))
+        return graph, self._roots[r] if self.lo else None
+
+    def hold(self, r: int, root_of: np.ndarray) -> None:
+        self._held[r] = root_of
+
+    def narrow(self, lo: float, hi: float) -> None:
+        """Move to [lo, hi], one end of which is the midpoint every replicate was held at."""
+        raised = lo != self.lo
+        if raised:
+            self._roots, self._held = self._held, self._roots
+        for r, split in enumerate(self._split):
+            if split is not None:
+                self._ids[r] = split[raised]
+        self._split = [None] * self.carried
+        self.lo, self.hi = lo, hi
+
+
 def replicate_stats(dim: CubeDim, ps: Sequence[float], master_seed: int, replicates: range,
                     reducers: Sequence[Mapping[str, Callable[[ClusterLabeling], object]]]
-                    | None = None) -> list[dict[str, np.ndarray]]:
+                    | None = None, carry: BracketCarry | None = None
+                    ) -> list[dict[str, np.ndarray]]:
     """Sample, label and reduce the replicates r in `replicates` at each density of ps.
 
     Returns one dict per density, in the order of ps, from a reducer's name
@@ -264,29 +336,44 @@ def replicate_stats(dim: CubeDim, ps: Sequence[float], master_seed: int, replica
     ascending order, the lowest is labeled cold and each later one is joined
     onto the labeling below it.  A smallest-vertex labeling does not depend
     on the order its edges arrive in, so each equals the cold labeling of
-    sample_subgraph(dim, p, SeedSpec(master_seed, r)).
+    sample_subgraph(dim, p, SeedSpec(master_seed, r)).  With a `carry`, ps
+    is one density inside its bracket, and each replicate it carries joins
+    only the edges that density adds to the bracket's lower end onto its
+    roots there, and is held for the carry to narrow.
     """
     if not replicates:
         raise ValueError("at least one replicate required")
     extra = [{}] * len(ps) if reducers is None else list(reducers)
     if len(extra) != len(ps):
         raise ValueError("reducers needs one mapping per density")
+    if carry is not None and not (carry.dim == dim and carry.master_seed == master_seed
+                                  and len(ps) == 1 and carry.lo < ps[0] < carry.hi):
+        raise ValueError("a carry evaluates its own replicates at one density inside its bracket")
     # the reducers are looked up at each call, so a rebound module name is seen
     tables = [{"chi": chi_sample, "top": top_two, **more} for more in extra]
     rows = [{name: [] for name in table} for table in tables]
     order = sorted(range(len(ps)), key=ps.__getitem__)
     ascending = [ps[i] for i in order]
     for r in replicates:
-        layers = sample_layers(dim, ascending, SeedSpec(master_seed, r))
-        root_of = None
+        carried = carry is not None and r < carry.carried
+        if carried:
+            layer, root_of = carry.sample(r, ps[0])
+            layers = iter((layer,))
+        else:
+            layers = sample_layers(dim, ascending, SeedSpec(master_seed, r))
+            root_of = None
         for i in order:
-            # no name holds the layer, so it is freed before the reducers run
+            # no name holds a sampled layer, so it is freed before the reducers
+            # run; a carried join's layer (n/2 bytes per vertex) is kept to the
+            # next replicate
             lab = label_components(next(layers), root_of)
             for name, reduce in tables[i].items():
                 rows[i][name].append(reduce(lab))
             # the next join reads only root_of: free the sizes before it runs
             root_of = lab.root_of
             del lab
+        if carried:
+            carry.hold(r, root_of)
     return [{name: np.array(values) for name, values in row.items()} for row in rows]
 
 

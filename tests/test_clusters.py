@@ -183,6 +183,9 @@ def test_warm_start_with_a_root_above_its_vertex_is_rejected():
     dim = CubeDim(2)
     with pytest.raises(ValueError, match="root above its vertex"):
         label_components(sample_subgraph(dim, 0.0, SeedSpec(0)), start=_partition([0, 2, 2, 3]))
+    # roots are vertex indices: a float array would fail inside take with a TypeError
+    with pytest.raises(ValueError, match="integer roots"):
+        label_components(sample_subgraph(dim, 0.0, SeedSpec(0)), start=np.arange(4.0))
 
 
 def test_unresolved_warm_start_is_refused():
@@ -196,6 +199,11 @@ def test_unresolved_warm_start_is_refused():
     joined = label_components(edge, start=_partition([0, 1, 2, 2, 4, 2, 6, 7]))
     assert joined.root_of.tolist() == [0, 1, 1, 1, 4, 1, 6, 7]
     assert joined.sizes_desc.tolist() == [4, 1, 1, 1, 1]
+    # a root of -1 passes both order checks, as take reads start[-1] = -1 as
+    # its own root; without the check, joining the edge 0-1 returned root_of
+    # [0 0 2 3 4 0 6 0], a component of 4 from one edge
+    with pytest.raises(ValueError, match="negative root"):
+        label_components(path_graph(dim, [0, 1]), start=_partition([0, 1, 2, 3, 4, -1, 6, -1]))
 
 
 @given(n=st.integers(1, 10), blocks=st.integers(1, 1024), q=st.floats(0.0, 1.0),

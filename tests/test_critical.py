@@ -1,9 +1,12 @@
 import functools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cubeperc import cli, clusters, critical, experiments, gen, reports, stats
 from cubeperc.critical import (
     MIN_TOL_P,
     ReplicateSchedule,
@@ -14,6 +17,7 @@ from cubeperc.critical import (
 )
 from cubeperc.cube import MAX_DIMENSION, CubeDim
 from cubeperc.experiments import exact_enumerate
+from cubeperc.stats import BracketCarry, Estimate, replicate_stats
 
 
 def test_expansion_reference_values():
@@ -165,3 +169,98 @@ def test_window_coord_regimes():
     assert small.regime == "inside"
     assert window_coord(0.9, 10, 0.1).regime == "above"
     assert window_coord(0.0001, 10, 0.1).regime == "below"
+
+
+def _charge(dim):
+    """Bytes a carried replicate is charged: two root arrays and a root array's entries of ids."""
+    return dim.volume * (2 * np.min_scalar_type(dim.volume - 1).itemsize
+                         + np.min_scalar_type(dim.edge_count - 1).itemsize)
+
+
+def _carry_budget(monkeypatch, dim, replicates):
+    """Set the carry's budget to what `replicates` replicates at dim are charged."""
+    monkeypatch.setattr(stats, "CARRY_BYTES", replicates * _charge(dim))
+    assert BracketCarry(dim, 0, 8).carried == replicates
+
+
+@pytest.mark.parametrize("carried", [8, 3], ids=["all", "some"])
+def test_every_trace_point_re_derives_from_the_engine(monkeypatch, carried):
+    # the carried base replicates join only the edges a midpoint adds to the
+    # bracket's lower end, and the doubling draws replicates beyond them fresh;
+    # every mean and se must still be the engine's at that midpoint, exactly
+    schedule = ReplicateSchedule(initial=8, cap=64)
+    doubled = 0
+    for n in range(4, 11):
+        dim = CubeDim(n)
+        _carry_budget(monkeypatch, dim, carried)
+        for seed in (0, 1, 2026):
+            res = solve_pc(dim, 1.0, schedule=schedule, master_seed=seed)
+            for t in res.trace:
+                (st,) = replicate_stats(dim, (t.midpoint,), seed, range(t.replicates))
+                est = Estimate.from_samples(st["chi"])
+                assert (est.mean, est.std_error) == (t.chi_mean, t.chi_se), (n, seed, t)
+                doubled += t.replicates > schedule.initial
+            (st,) = replicate_stats(dim, (res.p_hat,), seed, range(schedule.initial))
+            assert Estimate.from_samples(st["chi"]) == res.chi_at_p_hat, (n, seed)
+    assert doubled >= 10
+
+
+def test_a_solve_above_the_carry_budget_matches_the_carried_solve(monkeypatch):
+    # with no room for one replicate, every replicate is drawn and labeled cold
+    dim, schedule, seeds = CubeDim(9), ReplicateSchedule(initial=16, cap=256), (0, 1, 2)
+    carried = [solve_pc(dim, 1.0, schedule=schedule, master_seed=seed) for seed in seeds]
+    _carry_budget(monkeypatch, dim, 0)
+    for seed, expected in zip(seeds, carried):
+        res = solve_pc(dim, 1.0, schedule=schedule, master_seed=seed)
+        assert res == expected and res.trace == expected.trace
+
+
+def test_a_solve_labels_each_replicate_once_through_the_probed_names(monkeypatch):
+    # the benchmark's probe rebinds each layer entry point at every module
+    # attribute that binds it and counts the calls; solve12's exact counts and
+    # the denominator of its replicates_per_s need one labeling, chi and top
+    # two per replicate evaluation, carried or not, and no sample_subgraph
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("sample_subgraph", "label_components", "chi_sample", "top_two")
+    wrappers = {}
+    for module in (gen, clusters, stats, critical, experiments, reports, cli):
+        for name in names:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, wrappers.setdefault(name, counted(name, fn)))
+    res = solve_pc(CubeDim(12), 1.0, master_seed=2026)
+    assert res.replicates_used == 2688
+    assert calls == {"label_components": 2688, "chi_sample": 2688, "top_two": 2688}
+
+
+def _solve_peak(dim, schedule):
+    tracemalloc.start()
+    try:
+        res = solve_pc(dim, 1.0, schedule=schedule, master_seed=2026)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return res, peak
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_carried_state_stays_under_its_budget(monkeypatch, n):
+    # all 64 base replicates are carried at n = 12 and 14 (1.5 and 8 MiB
+    # charged against CARRY_BYTES); what they hold on top of an uncarried
+    # solve's tracemalloc peak stays within their charge
+    dim, schedule = CubeDim(n), ReplicateSchedule(initial=64, cap=64)
+    assert BracketCarry(dim, 0, 64).carried == 64
+    assert 64 * _charge(dim) <= stats.CARRY_BYTES
+    res, peak = _solve_peak(dim, schedule)
+    _carry_budget(monkeypatch, dim, 0)
+    fresh, fresh_peak = _solve_peak(dim, schedule)
+    assert res == fresh
+    held = peak - fresh_peak
+    assert held <= 64 * _charge(dim), f"carry held {held / 2**20:.2f} MiB"

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from cubeperc.cube import CubeDim
 from cubeperc.clusters import label_components
-from cubeperc.gen import OccupiedGraph, SeedSpec, sample_layers, sample_subgraph, sprinkle_split
+from cubeperc.gen import (
+    OccupiedGraph,
+    SeedSpec,
+    sample_layers,
+    sample_subgraph,
+    split_edges,
+    sprinkle_split,
+)
 
 from _reference import edge_endpoints, edge_uniforms, union_graphs
 
@@ -176,6 +183,23 @@ def test_layers_partition_every_density_of_the_ladder(n, ps, repeats, master, re
         assert np.array_equal(union, u < p)
         if k and ps[k - 1] == p:
             assert not layer.planes.any()
+
+
+@given(n=st.sampled_from([1, 3, 9, 13, 14]),
+       p=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+       master=st.integers(0, 2**63), rep=st.integers(0, 2**31), pick=st.integers(0, 2**32))
+@settings(deadline=None, max_examples=60)
+def test_split_edges_rehashes_a_subset_as_the_blocks_hash_it(n, p, master, rep, pick):
+    # the id subset goes through the same SplitMix64 as the hash blocks, so each
+    # id is split as sample_subgraph occupies it, in order and in its own dtype
+    dim, seed = CubeDim(n), SeedSpec(master, rep)
+    occupied = sample_subgraph(dim, p, seed).planes.ravel()
+    chosen = np.random.default_rng(pick).random(dim.edge_count) < 0.3
+    ids = np.flatnonzero(chosen).astype(np.min_scalar_type(dim.edge_count - 1))
+    below, above = split_edges(ids, p, seed)
+    assert below.dtype == above.dtype == ids.dtype
+    assert np.array_equal(below, ids[occupied[ids]])
+    assert np.array_equal(above, ids[~occupied[ids]])
 
 
 def test_ladder_of_more_than_255_densities():

@@ -96,6 +96,18 @@ def test_replicate_stats_refuses_an_empty_range_and_a_short_table():
             replicate_stats(dim, ps, 0, range(3), reducers)
 
 
+def test_replicate_stats_refuses_a_carry_it_cannot_evaluate():
+    # a carry holds one master seed's replicates at one dimension, and a
+    # density outside its bracket would join edges it does not hold
+    dim = CubeDim(4)
+    carry = stats.BracketCarry(dim, 7, 4)
+    carry.narrow(0.25, 0.5)
+    for d, ps, seed in ((dim, (0.3,), 8), (CubeDim(5), (0.3,), 7), (dim, (0.3, 0.4), 7),
+                        (dim, (0.25,), 7), (dim, (0.6,), 7)):
+        with pytest.raises(ValueError, match="carry"):
+            replicate_stats(d, ps, seed, range(4), carry=carry)
+
+
 def test_replicate_stats_samples_and_labels_once_per_replicate(monkeypatch):
     # the engine reaches the hash kernel and the labeler through module-level
     # names, so wrapping those names counts and sees every pass: one hash pass
